@@ -14,15 +14,14 @@ argument instead of drawing internally.
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, sqrt
+from math import sqrt
 
 import numpy as np
 
 from . import increments
 from .errors import DomainError, NumericError, ResourceLimitError
-from .increments import depends_on_dimension, is_exchangeable, rho_k
 from .walk import (GreenSpec, SPECTRAL_ENUMERATION_N_LIMIT, green_matrix_oracle,
-                   green_spectral, subset_weights, transition_matrix)
+                   green_spectral, transition_matrix)
 from .walsh import bit_positions, fwht, iter_submasks, popcounts
 
 CHOLESKY_POINT_LIMIT = 4096
@@ -65,11 +64,6 @@ class FieldSample:
         return self.points is None
 
 
-def coefficient_table(spec: GreenSpec) -> np.ndarray:
-    """(1 + c (1 - rho_A))^(-1/2) for every subset bitmask (1.0 at A = 0)."""
-    return np.sqrt(subset_weights(spec))
-
-
 def sample_field_spectral(spec: GreenSpec, noise: SpectralNoise) -> FieldSample:
     """Evaluate the linear form at every vertex with one fast transform, O(N 2^N)."""
     if noise.N != spec.N:
@@ -77,14 +71,14 @@ def sample_field_spectral(spec: GreenSpec, noise: SpectralNoise) -> FieldSample:
     if spec.N > SPECTRAL_ENUMERATION_N_LIMIT:
         raise ResourceLimitError(
             f"full-cube sampling is capped at N={SPECTRAL_ENUMERATION_N_LIMIT}, got {spec.N}")
-    scaled = coefficient_table(spec) * noise.values
+    scaled = np.sqrt(spec.subset_table()) * noise.values
     return FieldSample(spec.N, fwht(scaled) * 2.0 ** (-spec.N / 2.0))
 
 
 def sample_field_spectral_batch(spec: GreenSpec, rng: np.random.Generator,
                                 replicates: int) -> np.ndarray:
     """(replicates, 2^N) array of independent full-cube fields; the MC workhorse."""
-    coef = coefficient_table(spec)
+    coef = np.sqrt(spec.subset_table())
     noise = rng.standard_normal((replicates, 1 << spec.N))
     return fwht(noise * coef) * 2.0 ** (-spec.N / 2.0)
 
@@ -165,20 +159,10 @@ def marginal_average(noise: SpectralNoise, spec: GreenSpec, x: int, subset: int)
 
     Marginals over disjoint C are independent (they read disjoint noise).
     """
-    if subset == 0:
-        raise DomainError("the coordinate set must be nonempty")
     if subset >> spec.N:
         raise DomainError(f"coordinate set {subset:#x} is not within [{spec.N}]")
-    c = spec.c
-    total = 0.0
-    for A in iter_submasks(subset):
-        if A == 0:
-            continue
-        rho = increments.rho_subset(spec.model, A, spec.N)
-        sign = -1.0 if (A & x).bit_count() & 1 else 1.0
-        total += sign * noise.values[A] / sqrt(1.0 + c * (1.0 - rho))
-    size = subset.bit_count()
-    return total * 2.0 ** (-size / 2.0)
+    return _marginal(noise, x, subset,
+                     lambda A: increments.b_subset(spec.model, A, spec.N, spec.alpha))
 
 
 def nested_fields(noise: SpectralNoise, model, alpha: float) -> list[FieldSample]:
@@ -189,7 +173,7 @@ def nested_fields(noise: SpectralNoise, model, alpha: float) -> list[FieldSample
 
         E[g_{x_N} | fields up to N-1] = 2^(-1/2) g_{x_{N-1}}.
     """
-    if depends_on_dimension(model):
+    if model.depends_on_dimension:
         raise DomainError(
             f"{type(model).__name__} changes with the dimension; nested coupling undefined")
     fields = []
@@ -207,18 +191,22 @@ def infinite_field_marginal(model, x: int, subset: int, noise: SpectralNoise,
     Limit-regime models ignore alpha; finite models need it and must be
     dimension-free.
     """
-    if subset == 0:
-        raise DomainError("the coordinate set must be nonempty")
-    if depends_on_dimension(model):
+    if model.depends_on_dimension:
         raise DomainError(
             f"{type(model).__name__} changes with the dimension; no V_infinity limit")
+    return _marginal(noise, x, subset, lambda A: increments.b_subset(model, A, None, alpha))
+
+
+def _marginal(noise: SpectralNoise, x: int, subset: int, gap) -> float:
+    """2^(-|C|/2) sum_{A subseteq C, A != 0} prod_{j in A}(-1)^x[j] (1 + gap(A))^(-1/2) g_A."""
+    if subset == 0:
+        raise DomainError("the coordinate set must be nonempty")
     total = 0.0
     for A in iter_submasks(subset):
         if A == 0:
             continue
-        b = increments.b_subset(model, A, None, alpha)
         sign = -1.0 if (A & x).bit_count() & 1 else 1.0
-        total += sign * noise.values[A] / sqrt(1.0 + b)
+        total += sign * noise.values[A] / sqrt(1.0 + gap(A))
     return total * 2.0 ** (-subset.bit_count() / 2.0)
 
 
@@ -258,30 +246,18 @@ class KSpinDraw:
     values: np.ndarray
 
 
-def half_weights(spec: GreenSpec) -> np.ndarray:
-    """(1 + c (1 - rho_k))^(-1/2) for k = 0..N; exchangeable models."""
-    if not is_exchangeable(spec.model):
-        raise DomainError("spin-order weights need an exchangeable model")
-    rho = np.array([rho_k(spec.model, k, spec.N) for k in range(spec.N + 1)])
-    return 1.0 / np.sqrt(1.0 + spec.c * (1.0 - rho))
-
-
-def _check_no_atom_at_one(model):
-    match model:
-        case increments.IIDBernoulli(p=p) if p == 1.0:
-            raise DomainError("mixing measure has an atom at 1")
-        case increments.DeFinettiDiscrete(atoms=atoms, weights=weights):
-            if any(w > 0 and a >= 1.0 - 1e-15 for a, w in zip(atoms, weights)):
-                raise DomainError("mixing measure has an atom at 1")
-
-
 def kspin_order_pmf(spec: GreenSpec) -> np.ndarray:
     """Order distribution p_k proportional to binom(N,k) (1+c(1-rho_k))^(-1/2)."""
-    _check_no_atom_at_one(spec.model)
-    m = half_weights(spec)
-    binoms = np.array([comb(spec.N, k) for k in range(spec.N + 1)], dtype=float)
-    weights = binoms * m
+    if spec.model.has_omega_atom_at_one():
+        raise DomainError("mixing measure has an atom at 1")
+    weights = spec.binom_pmf * spec.half_weights
     return weights / weights.sum()
+
+
+def _kspin_scales(spec: GreenSpec) -> np.ndarray:
+    """2^(-N/2) R / binom(N,k) for k = 0..N, R = sum_k binom(N,k) m_k."""
+    normalizer = float(np.dot(spec.binom_pmf, spec.half_weights))
+    return 2.0 ** (-spec.N / 2.0) * normalizer / spec.binom_pmf
 
 
 def sample_random_kspin(spec: GreenSpec, noise: SpectralNoise,
@@ -298,24 +274,18 @@ def sample_random_kspin(spec: GreenSpec, noise: SpectralNoise,
     with m_k the half weights.
     """
     pmf = kspin_order_pmf(spec)
-    m = half_weights(spec)
-    normalizer = float(np.dot(np.array([comb(spec.N, k) for k in range(spec.N + 1)],
-                                       dtype=float), m))
     k = int(rng.choice(spec.N + 1, p=pmf))
-    scale = 2.0 ** (-spec.N / 2.0) * normalizer / comb(spec.N, k)
+    scale = float(_kspin_scales(spec)[k])
     return KSpinDraw(k, scale, scale * spin_sum_all_vertices(k, noise))
 
 
 def kspin_mixture_mean(spec: GreenSpec, noise: SpectralNoise) -> np.ndarray:
     """E_K[random k-spin field | noise]: identical to the spectral field."""
     pmf = kspin_order_pmf(spec)
-    m = half_weights(spec)
-    normalizer = float(np.dot(np.array([comb(spec.N, k) for k in range(spec.N + 1)],
-                                       dtype=float), m))
+    scales = _kspin_scales(spec)
     total = np.zeros(1 << spec.N)
     for k in range(spec.N + 1):
-        scale = 2.0 ** (-spec.N / 2.0) * normalizer / comb(spec.N, k)
-        total += pmf[k] * scale * spin_sum_all_vertices(k, noise)
+        total += pmf[k] * scales[k] * spin_sum_all_vertices(k, noise)
     return total
 
 
@@ -325,7 +295,7 @@ def exchangeable_field_from_spins(spec: GreenSpec, noise: SpectralNoise) -> np.n
     Equals the subset-indexed evaluation on the same noise; kept as an
     independent assembly route for verification.
     """
-    m = half_weights(spec)
+    m = spec.half_weights
     total = np.zeros(1 << spec.N)
     for k in range(spec.N + 1):
         total += m[k] * spin_sum_all_vertices(k, noise)

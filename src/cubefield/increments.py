@@ -9,16 +9,18 @@ and the killed-walk gap b_A = c (1 - rho_A) with c = alpha/(1-alpha).
 Exchangeable laws have rho_A depending on |A| only.  The Limit* variants
 describe N -> infinity regimes and carry only b_A.
 
-Models are small frozen dataclasses; every operation is pure given an
-explicit numpy Generator, so instances are safe to share across threads.
+Each law is a small frozen dataclass carrying its own rho, pmf, sampler
+and gap; the de Finetti laws are also their own spin measure.  Every
+operation is pure given an explicit numpy Generator, so instances are safe
+to share across threads.
 """
 
-from dataclasses import dataclass
-from math import comb, fsum, isclose
-from typing import Union
+from dataclasses import dataclass, fields
+from math import comb, exp, fsum, isclose, log
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.integrate import quad
+from scipy.special import betainc, betaln, gammaln, roots_jacobi
 
 from .errors import DomainError
 from .polynomials import EXACT_N_LIMIT, krawtchouk_eval, krawtchouk_row
@@ -27,20 +29,126 @@ from .walsh import popcounts
 # past this order the alternating binomial expansion cancels (~3^k * eps);
 # exact-degree Gauss-Jacobi takes over
 _BINOMIAL_EXPANSION_MAX_K = 10
+_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
+
+
+def killing_gap(c, rho):
+    """The killed-walk gap b = c (1 - rho) of an eigenvalue (or array of them)."""
+    return c * (1.0 - rho)
+
+
+def _killing_c(alpha) -> float:
+    if alpha is None or not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must be in (0,1), got {alpha}")
+    return alpha / (1.0 - alpha)
+
+
+class IncrementModel:
+    """An increment law: rho(k, N) for sizes k >= 1, pmf(N), sample_Z(N, rng), gap."""
+    is_limit = False
+    is_definetti = False
+    is_exchangeable = True
+    depends_on_dimension = False  # the law of a single entry changes with N
+
+    def rho_subset(self, subset: int, N: int) -> float:
+        return rho_k(self, int(subset).bit_count(), N)
+
+    def rho_all_subsets(self, N: int) -> np.ndarray:
+        return rho_by_size(self, N)[popcounts(N)]
+
+    def gap(self, k: int, N: int | None, alpha: float | None) -> float:
+        """b_k = c (1 - rho_k) for a subset of size k."""
+        return killing_gap(_killing_c(alpha), rho_k(self, k, N))
+
+    def has_omega_atom_at_one(self) -> bool:
+        return False
+
+
+class _DeFinetti(IncrementModel):
+    """i.i.d. Bernoulli(omega) entries given a random omega.
+
+    The model is also its spin measure, the law of xi = 1 - 2*omega on [-1, 1].
+    """
+    is_definetti = True
+
+    def sample_Z(self, N: int, rng: np.random.Generator) -> int:
+        omega = self.omega(rng)
+        mask = 0
+        for pos in np.flatnonzero(rng.random(N) < omega):
+            mask |= 1 << int(pos)
+        return mask
+
+    def moment(self, k: int) -> float:
+        """E[xi^k] = rho_k."""
+        return rho_k(self, k)
+
+    def has_atom_at_zero(self) -> bool:
+        return False
+
+
+class _PointMasses(_DeFinetti):
+    """omega takes finitely many values: the atoms, with probabilities the weights."""
+
+    @property
+    def _spins(self):
+        return [(1.0 - 2.0 * a, w) for a, w in zip(self.atoms, self.weights)]
+
+    def rho(self, k, N=None):
+        return fsum(w * x ** k for x, w in self._spins)
+
+    def pmf(self, N):
+        pc = popcounts(N)
+        out = np.zeros(1 << N)
+        for a, w in zip(self.atoms, self.weights):
+            out += w * a ** pc * (1.0 - a) ** (N - pc)
+        return out
+
+    def abs_moment(self, theta):
+        self._no_zero_atom(theta)
+        return sum(w * abs(x) ** theta for x, w in self._spins)
+
+    def abs_moment_split(self, theta):
+        """(integral over [-1,0], integral over (0,1]) of |xi|^theta."""
+        self._no_zero_atom(theta)
+        neg = sum(w * abs(x) ** theta for x, w in self._spins if x <= 0)
+        pos = sum(w * x ** theta for x, w in self._spins if x > 0)
+        return neg, pos
+
+    def mass_nonpositive(self):
+        return sum(w for x, w in self._spins if x <= 0)
+
+    def has_atom_at_zero(self):
+        return any(w > 0 and x == 0.0 for x, w in self._spins)
+
+    def has_omega_atom_at_one(self):
+        return any(w > 0 and a >= 1.0 - 1e-15 for a, w in zip(self.atoms, self.weights))
+
+    def sample(self, rng, size=None):
+        points, weights = zip(*self._spins)
+        return rng.choice(points, p=weights, size=size)
+
+    def _no_zero_atom(self, theta):
+        if theta > 0 and self.has_atom_at_zero():
+            raise DomainError("measure has an atom at zero; |xi|^theta integrals undefined")
 
 
 @dataclass(frozen=True)
-class IIDBernoulli:
+class IIDBernoulli(_PointMasses):
     """Entries of Z i.i.d. Bernoulli(p); the mixing measure is a point mass at p."""
     p: float
+    atoms = property(lambda self: (self.p,))  # one atom of mass 1
+    weights = (1.0,)
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise DomainError(f"p must be in [0,1], got {self.p}")
 
+    def omega(self, rng):
+        return self.p
+
 
 @dataclass(frozen=True)
-class DeFinettiDiscrete:
+class DeFinettiDiscrete(_PointMasses):
     """Exchangeable Z: draw omega from finitely many atoms, then i.i.d. Bernoulli(omega)."""
     atoms: tuple
     weights: tuple
@@ -55,9 +163,12 @@ class DeFinettiDiscrete:
         if any(w < 0 for w in self.weights) or not isclose(sum(self.weights), 1.0, abs_tol=1e-12):
             raise DomainError("weights must be nonnegative and sum to 1")
 
+    def omega(self, rng):
+        return float(rng.choice(self.atoms, p=self.weights))
+
 
 @dataclass(frozen=True)
-class DeFinettiBeta:
+class DeFinettiBeta(_DeFinetti):
     """Exchangeable Z with omega ~ Beta(a, b)."""
     a: float
     b: float
@@ -66,14 +177,141 @@ class DeFinettiBeta:
         if self.a <= 0 or self.b <= 0:
             raise DomainError("Beta parameters must be positive")
 
+    def rho(self, k, N=None):
+        """E[(1-2w)^k] for w ~ Beta(a,b).
+
+        Binomial expansion in exact-integer coefficients for small k; exact-degree
+        Gauss-Jacobi quadrature beyond, where the alternating expansion would
+        cancel catastrophically.
+        """
+        a, b = self.a, self.b
+        if k <= _BINOMIAL_EXPANSION_MAX_K:
+            moment = 1.0  # E[w^j], running product
+            terms = [1.0]
+            for j in range(1, k + 1):
+                moment *= (a + j - 1) / (a + b + j - 1)
+                terms.append(comb(k, j) * (-2.0) ** j * moment)
+            return fsum(terms)
+        nodes, weights = roots_jacobi(k // 2 + 1, a - 1.0, b - 1.0)
+        return float(np.dot(weights, nodes ** k) / weights.sum())
+
+    def pmf(self, N):
+        pc = popcounts(N)
+        return np.exp(betaln(self.a + pc, self.b + N - pc) - betaln(self.a, self.b))
+
+    def omega(self, rng):
+        return float(rng.beta(self.a, self.b))
+
+    def abs_moment(self, theta):
+        neg, pos = self.abs_moment_split(theta)
+        return neg + pos
+
+    def abs_moment_split(self, theta):
+        dens = self._omega_density
+        # xi <= 0 is omega >= 1/2
+        neg = quad(lambda w: (2 * w - 1.0) ** theta * dens(w), 0.5, 1.0, **_QUAD_OPTS)[0]
+        pos = quad(lambda w: (1.0 - 2 * w) ** theta * dens(w), 0.0, 0.5, **_QUAD_OPTS)[0]
+        return neg, pos
+
+    def _omega_density(self, w):
+        if w <= 0.0 or w >= 1.0:
+            return 0.0
+        ln = (self.a - 1) * log(w) + (self.b - 1) * log(1 - w) \
+            - (gammaln(self.a) + gammaln(self.b) - gammaln(self.a + self.b))
+        return exp(ln)
+
+    def mass_nonpositive(self):
+        return 1.0 - float(betainc(self.a, self.b, 0.5))
+
+    def sample(self, rng, size=None):
+        return 1.0 - 2.0 * rng.beta(self.a, self.b, size=size)
+
 
 @dataclass(frozen=True)
-class SingleFlip:
+class SymmetricBetaSpin(_DeFinetti):
+    """Spin measure symmetric about 0 whose magnitude |xi| is Beta(a, b) on (0,1].
+
+    Equivalently omega = (1 - xi)/2 is symmetric about 1/2.
+    """
+    a: float
+    b: float
+
+    def __post_init__(self):
+        if self.a <= 0 or self.b <= 0:
+            raise DomainError("Beta parameters must be positive")
+
+    def rho(self, k, N=None):
+        if k % 2 == 1:
+            return 0.0
+        val = 1.0
+        for i in range(k):
+            val *= (self.a + i) / (self.a + self.b + i)
+        return val
+
+    def pmf(self, N):
+        pc = popcounts(N)
+        nodes, weights = roots_jacobi(N // 2 + 1, self.b - 1.0, self.a - 1.0)
+        weights = weights / weights.sum()
+        # xi = +r and -r branches, each with probability 1/2
+        out = np.zeros(1 << N)
+        for x, w in zip(nodes, weights):
+            r = (1.0 + x) / 2.0  # Jacobi node on [-1,1] -> magnitude on [0,1]
+            lo, hi = (1.0 - r) / 2.0, (1.0 + r) / 2.0
+            out += 0.5 * w * (lo ** pc * hi ** (N - pc) + hi ** pc * lo ** (N - pc))
+        return out
+
+    def omega(self, rng):
+        xi = rng.beta(self.a, self.b) * (1.0 if rng.random() < 0.5 else -1.0)
+        return float((1.0 - xi) / 2.0)
+
+    def abs_moment(self, theta):
+        # E[R^theta] = Gamma(a+theta)Gamma(a+b) / (Gamma(a+b+theta)Gamma(a))
+        return exp(gammaln(self.a + theta) + gammaln(self.a + self.b)
+                   - gammaln(self.a + self.b + theta) - gammaln(self.a))
+
+    def abs_moment_split(self, theta):
+        half = 0.5 * self.abs_moment(theta)
+        return half, half
+
+    def mass_nonpositive(self):
+        return 0.5
+
+    def sample(self, rng, size=None):
+        r = rng.beta(self.a, self.b, size=size)
+        signs = np.where(rng.random(size=size) < 0.5, 1.0, -1.0)
+        return signs * r
+
+
+class _DimensionDependent(IncrementModel):
+    """The law of a single entry changes with N, so rho needs the dimension."""
+    depends_on_dimension = True
+
+    def rho(self, k, N):
+        if N is None:
+            raise DomainError("this model needs the dimension N")
+        if k > N:
+            raise DomainError(f"subset size {k} exceeds dimension {N}")
+        return self._rho(k, N)
+
+
+@dataclass(frozen=True)
+class SingleFlip(_DimensionDependent):
     """Z is a uniformly random unit vector: the simple walk."""
 
+    def _rho(self, k, N):
+        return 1.0 - 2.0 * k / N
+
+    def pmf(self, N):
+        out = np.zeros(1 << N)
+        out[1 << np.arange(N)] = 1.0 / N
+        return out
+
+    def sample_Z(self, N, rng):
+        return 1 << int(rng.integers(N))
+
 
 @dataclass(frozen=True)
-class MFlip:
+class MFlip(_DimensionDependent):
     """Exactly m entries of Z are 1, uniformly placed."""
     m: int
 
@@ -81,21 +319,58 @@ class MFlip:
         if self.m < 1:
             raise DomainError(f"flip count must be >= 1, got {self.m}")
 
+    def _check_fits(self, N):
+        if self.m > N:
+            raise DomainError(f"flip count {self.m} exceeds dimension {N}")
+
+    def _rho(self, k, N):
+        self._check_fits(N)
+        return float(krawtchouk_eval(self.m, k, N)) if N <= EXACT_N_LIMIT \
+            else float(krawtchouk_row(N, k, self.m)[self.m])
+
+    def pmf(self, N):
+        self._check_fits(N)
+        out = np.zeros(1 << N)
+        out[popcounts(N) == self.m] = 1.0 / comb(N, self.m)
+        return out
+
+    def sample_Z(self, N, rng):
+        self._check_fits(N)
+        mask = 0
+        for pos in rng.choice(N, size=self.m, replace=False):
+            mask |= 1 << int(pos)
+        return mask
+
 
 @dataclass(frozen=True)
-class RandomSiteHalf:
+class RandomSiteHalf(_DimensionDependent):
     """One uniformly chosen entry of Z is Bernoulli(1/2), the rest are 0.
 
     The lazy simple walk: Z = 0 with probability 1/2, Z = e_j with
     probability 1/(2N) each.
     """
 
+    def _rho(self, k, N):
+        # Z = 0 w.p. 1/2, Z = e_j w.p. 1/(2N): the signed product
+        # averages to 1/2 + (N - 2k)/(2N) = 1 - k/N.
+        return 1.0 - k / N
+
+    def pmf(self, N):
+        out = np.zeros(1 << N)
+        out[0] = 0.5
+        out[1 << np.arange(N)] = 0.5 / N
+        return out
+
+    def sample_Z(self, N, rng):
+        return int(rng.integers(2)) << int(rng.integers(N))
+
 
 @dataclass(frozen=True)
-class MarkovEntries:
+class MarkovEntries(IncrementModel):
     """Entries Z[1..N] form a homogeneous two-state Markov chain (not exchangeable)."""
     initial: tuple
     transition: tuple
+    is_exchangeable = False
 
     def __post_init__(self):
         init = tuple(float(v) for v in self.initial)
@@ -109,23 +384,68 @@ class MarkovEntries:
         ):
             raise DomainError("transition must be 2x2 row-stochastic")
 
+    def rho(self, k, N=None):
+        raise DomainError("rho_k needs an exchangeable model; use rho_subset")
+
+    def rho_subset(self, subset, N):
+        if subset == 0:
+            return 1.0
+        T = np.array(self.transition)
+        v = np.array(self.initial)
+        top = subset.bit_length()
+        # signed transfer pass over positions 1..max(A); later positions keep mass 1
+        if subset & 1:
+            v = v * (1.0, -1.0)
+        for pos in range(1, top):
+            v = v @ T
+            if subset >> pos & 1:
+                v = v * (1.0, -1.0)
+        return float(v.sum())
+
+    def rho_all_subsets(self, N):
+        T = np.array(self.transition)
+        states = np.array([self.initial])  # row A -> mass vector over {0,1}
+        states = np.vstack([states, states * (1.0, -1.0)])
+        for _ in range(1, N):
+            stepped = states @ T
+            states = np.vstack([stepped, stepped * (1.0, -1.0)])
+        return states.sum(axis=1)
+
+    def pmf(self, N):
+        # pmf over prefixes, doubling one position per round; bit p-1 = position p
+        T = np.array(self.transition)
+        out = np.array(self.initial)  # index = prefix mask of length 1
+        last = np.array([0, 1])  # last bit per prefix
+        for _ in range(1, N):
+            stay = out * T[last, 0]
+            move = out * T[last, 1]
+            out = np.concatenate([stay, move])
+            last = np.concatenate([np.zeros_like(last), np.ones_like(last)])
+        return out
+
+    def sample_Z(self, N, rng):
+        init, rows = self.initial, self.transition
+        state = int(rng.random() < init[1])
+        mask = state
+        for pos in range(1, N):
+            state = int(rng.random() < rows[state][1])
+            mask |= state << pos
+        return mask
+
+
+class _Limit(IncrementModel):
+    """An N -> infinity regime: it defines only the gap b_k, no rho and no walk."""
+    is_limit = True
+
+    def rho(self, k, N=None):
+        raise DomainError("limit-regime models define only b_A, not rho")
+
+    def sample_Z(self, N, rng):
+        raise DomainError(f"{type(self).__name__} is not samplable")
+
 
 @dataclass(frozen=True)
-class SymmetricBetaSpin:
-    """Spin measure symmetric about 0 whose magnitude |xi| is Beta(a, b) on (0,1].
-
-    Equivalently omega = (1 - xi)/2 is symmetric about 1/2.
-    """
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise DomainError("Beta parameters must be positive")
-
-
-@dataclass(frozen=True)
-class LimitLinear:
+class LimitLinear(_Limit):
     """Limit regime with b_A = 2|A|/gamma (vanishing killing, alpha_N = 1 - gamma/N)."""
     gamma: float
 
@@ -133,9 +453,16 @@ class LimitLinear:
         if self.gamma <= 0:
             raise DomainError("gamma must be positive")
 
+    def gap(self, k, N=None, alpha=None):
+        return 2.0 * k / self.gamma
+
+    def mixture(self):
+        from .limits import VanishingKillingY
+        return VanishingKillingY(self.gamma)
+
 
 @dataclass(frozen=True)
-class LimitPoissonDirichlet:
+class LimitPoissonDirichlet(_Limit):
     """Limit regime b_A = kappa * int (1-(1-2w)^|A|) w^-1 (1-w)^(kappa-1) dw."""
     kappa: float
 
@@ -143,53 +470,24 @@ class LimitPoissonDirichlet:
         if self.kappa <= 0:
             raise DomainError("kappa must be positive")
 
+    def gap(self, k, N=None, alpha=None):
+        # alternating sum kappa * sum_j (-1)^(j+1) 2^j/j * k_[j] / kappa_(j)
+        total = 0.0
+        falling, rising = 1.0, 1.0
+        for j in range(1, k + 1):
+            falling *= k - j + 1
+            rising *= self.kappa + j - 1
+            total += (-1.0) ** (j + 1) * 2.0 ** j / j * falling / rising
+        return self.kappa * total
 
-IncrementModel = Union[
-    IIDBernoulli, DeFinettiDiscrete, DeFinettiBeta, SingleFlip, MFlip,
-    RandomSiteHalf, MarkovEntries, SymmetricBetaSpin, LimitLinear,
-    LimitPoissonDirichlet,
-]
-
-_LIMIT_TYPES = (LimitLinear, LimitPoissonDirichlet)
-_DEFINETTI_TYPES = (IIDBernoulli, DeFinettiDiscrete, DeFinettiBeta, SymmetricBetaSpin)
-
-
-def is_limit(model) -> bool:
-    return isinstance(model, _LIMIT_TYPES)
+    def mixture(self):
+        from .limits import MomentOnlyY
+        return MomentOnlyY(lambda k: 1.0 / (1.0 + self.gap(k)),
+                           label=f"Poisson-Dirichlet limit, kappa = {self.kappa}")
 
 
 def is_exchangeable(model) -> bool:
-    return not isinstance(model, MarkovEntries)
-
-
-def is_definetti(model) -> bool:
-    """True when the entries of Z are a mixture of i.i.d. Bernoulli rows."""
-    return isinstance(model, _DEFINETTI_TYPES)
-
-
-def depends_on_dimension(model) -> bool:
-    """True when the law of a single entry changes with N (no V_infinity version)."""
-    return isinstance(model, (SingleFlip, MFlip, RandomSiteHalf))
-
-
-def _beta_power_moment(a: float, b: float, k: int) -> float:
-    """E[(1-2w)^k] for w ~ Beta(a,b).
-
-    Binomial expansion in exact-integer coefficients for small k; exact-degree
-    Gauss-Jacobi quadrature beyond, where the alternating expansion would
-    cancel catastrophically.
-    """
-    if k == 0:
-        return 1.0
-    if k <= _BINOMIAL_EXPANSION_MAX_K:
-        moment = 1.0  # E[w^j], running product
-        terms = [1.0]
-        for j in range(1, k + 1):
-            moment *= (a + j - 1) / (a + b + j - 1)
-            terms.append(comb(k, j) * (-2.0) ** j * moment)
-        return fsum(terms)
-    nodes, weights = roots_jacobi(k // 2 + 1, a - 1.0, b - 1.0)
-    return float(np.dot(weights, nodes ** k) / weights.sum())
+    return model.is_exchangeable
 
 
 def rho_k(model, k: int, N: int | None = None) -> float:
@@ -198,73 +496,21 @@ def rho_k(model, k: int, N: int | None = None) -> float:
         raise DomainError(f"subset size must be >= 0, got {k}")
     if k == 0:
         return 1.0
-    match model:
-        case IIDBernoulli(p=p):
-            return (1.0 - 2.0 * p) ** k
-        case DeFinettiDiscrete(atoms=atoms, weights=weights):
-            return fsum(w * (1.0 - 2.0 * a) ** k for a, w in zip(atoms, weights))
-        case DeFinettiBeta(a=a, b=b):
-            return _beta_power_moment(a, b, k)
-        case SymmetricBetaSpin(a=a, b=b):
-            if k % 2 == 1:
-                return 0.0
-            val = 1.0
-            for i in range(k):
-                val *= (a + i) / (a + b + i)
-            return val
-        case SingleFlip():
-            _need_dimension(N, k)
-            return 1.0 - 2.0 * k / N
-        case MFlip(m=m):
-            _need_dimension(N, k)
-            if m > N:
-                raise DomainError(f"flip count {m} exceeds dimension {N}")
-            return float(krawtchouk_eval(m, k, N)) if N <= EXACT_N_LIMIT \
-                else float(krawtchouk_row(N, k, m)[m])
-        case RandomSiteHalf():
-            # Z = 0 w.p. 1/2, Z = e_j w.p. 1/(2N): the signed product
-            # averages to 1/2 + (N - 2k)/(2N) = 1 - k/N.
-            _need_dimension(N, k)
-            return 1.0 - k / N
-        case MarkovEntries():
-            raise DomainError("rho_k needs an exchangeable model; use rho_subset")
-        case _ if is_limit(model):
-            raise DomainError("limit-regime models define only b_A, not rho")
-    raise DomainError(f"unknown model {model!r}")
+    return model.rho(k, N)
 
 
-def _need_dimension(N, k):
-    if N is None:
-        raise DomainError("this model needs the dimension N")
-    if k > N:
-        raise DomainError(f"subset size {k} exceeds dimension {N}")
+def rho_by_size(model, N: int) -> np.ndarray:
+    """rho_k for k = 0..N as a vector; exchangeable models only."""
+    return np.array([rho_k(model, k, N) for k in range(N + 1)])
 
 
 def rho_subset(model, subset: int, N: int) -> float:
     """Eigenvalue rho_A = E[prod_{j in A} (-1)^Z[j]] for a subset bitmask."""
     if subset < 0 or subset >> N:
         raise DomainError(f"subset {subset:#x} is not within [{N}]")
-    if is_limit(model):
+    if model.is_limit:
         raise DomainError("limit-regime models define only b_A, not rho")
-    if isinstance(model, MarkovEntries):
-        return _markov_rho(model, subset)
-    return rho_k(model, int(subset).bit_count(), N)
-
-
-def _markov_rho(model: MarkovEntries, subset: int) -> float:
-    if subset == 0:
-        return 1.0
-    T = np.array(model.transition)
-    v = np.array(model.initial)
-    top = subset.bit_length()
-    # signed transfer pass over positions 1..max(A); later positions keep mass 1
-    if subset & 1:
-        v = v * (1.0, -1.0)
-    for pos in range(1, top):
-        v = v @ T
-        if subset >> pos & 1:
-            v = v * (1.0, -1.0)
-    return float(v.sum())
+    return model.rho_subset(subset, N)
 
 
 def rho_all_subsets(model, N: int) -> np.ndarray:
@@ -273,114 +519,38 @@ def rho_all_subsets(model, N: int) -> np.ndarray:
     Exchangeable laws reduce to a popcount lookup; MarkovEntries uses a
     doubling pass that appends one chain position per round, O(N 2^N).
     """
-    if is_limit(model):
-        raise DomainError("limit-regime models define only b_A, not rho")
-    if is_exchangeable(model):
-        by_size = np.array([rho_k(model, k, N) for k in range(N + 1)])
-        return by_size[popcounts(N)]
-    T = np.array(model.transition)
-    states = np.array([model.initial])  # row A -> mass vector over {0,1}
-    states = np.vstack([states, states * (1.0, -1.0)])
-    for _ in range(1, N):
-        stepped = states @ T
-        states = np.vstack([stepped, stepped * (1.0, -1.0)])
-    return states.sum(axis=1)
+    return model.rho_all_subsets(N)
 
 
 def b_subset(model, subset: int, N: int | None, alpha: float | None) -> float:
     """Killed-walk gap b_A; limit-regime models ignore alpha."""
-    size = int(subset).bit_count()
-    match model:
-        case LimitLinear(gamma=gamma):
-            return 2.0 * size / gamma
-        case LimitPoissonDirichlet(kappa=kappa):
-            return _poisson_dirichlet_b(kappa, size)
-        case _:
-            if alpha is None or not 0.0 < alpha < 1.0:
-                raise DomainError(f"alpha must be in (0,1), got {alpha}")
-            if N is None:
-                if depends_on_dimension(model):
-                    raise DomainError(
-                        f"{type(model).__name__} needs the dimension N for b_A")
-                N = max(int(subset).bit_length(), 1)
-            c = alpha / (1.0 - alpha)
-            return c * (1.0 - rho_subset(model, subset, N))
+    if model.is_limit:
+        return model.gap(int(subset).bit_count())
+    c = _killing_c(alpha)
+    if N is None:
+        if model.depends_on_dimension:
+            raise DomainError(f"{type(model).__name__} needs the dimension N for b_A")
+        N = max(int(subset).bit_length(), 1)
+    return killing_gap(c, rho_subset(model, subset, N))
 
 
 def b_k(model, k: int, N: int | None, alpha: float | None) -> float:
     """Exchangeable-size version of b_subset."""
-    match model:
-        case LimitLinear(gamma=gamma):
-            return 2.0 * k / gamma
-        case LimitPoissonDirichlet(kappa=kappa):
-            return _poisson_dirichlet_b(kappa, k)
-        case _:
-            if alpha is None or not 0.0 < alpha < 1.0:
-                raise DomainError(f"alpha must be in (0,1), got {alpha}")
-            return alpha / (1.0 - alpha) * (1.0 - rho_k(model, k, N))
-
-
-def _poisson_dirichlet_b(kappa: float, size: int) -> float:
-    # alternating sum kappa * sum_j (-1)^(j+1) 2^j/j * size_[j] / kappa_(j)
-    total = 0.0
-    falling, rising = 1.0, 1.0
-    for j in range(1, size + 1):
-        falling *= size - j + 1
-        rising *= kappa + j - 1
-        total += (-1.0) ** (j + 1) * 2.0 ** j / j * falling / rising
-    return kappa * total
-
-
-def sample_omega(model, rng: np.random.Generator) -> float:
-    """One draw of the mixing probability omega for a de Finetti-type law."""
-    match model:
-        case IIDBernoulli(p=p):
-            return p
-        case DeFinettiDiscrete(atoms=atoms, weights=weights):
-            return float(rng.choice(atoms, p=weights))
-        case DeFinettiBeta(a=a, b=b):
-            return float(rng.beta(a, b))
-        case SymmetricBetaSpin(a=a, b=b):
-            xi = rng.beta(a, b) * (1.0 if rng.random() < 0.5 else -1.0)
-            return float((1.0 - xi) / 2.0)
-    raise DomainError(f"{type(model).__name__} has no mixing measure")
+    return model.gap(k, N, alpha)
 
 
 def sample_spin_xi(model, rng: np.random.Generator) -> float:
     """One draw of the spin xi = 1 - 2*omega in [-1, 1]."""
-    return 1.0 - 2.0 * sample_omega(model, rng)
+    if not model.is_definetti:
+        raise DomainError(f"{type(model).__name__} has no mixing measure")
+    return 1.0 - 2.0 * model.omega(rng)
 
 
 def sample_Z(model, N: int, rng: np.random.Generator) -> int:
     """One increment draw as an N-bit mask."""
     if N < 1:
         raise DomainError(f"dimension must be >= 1, got {N}")
-    match model:
-        case SingleFlip():
-            return 1 << int(rng.integers(N))
-        case MFlip(m=m):
-            if m > N:
-                raise DomainError(f"flip count {m} exceeds dimension {N}")
-            mask = 0
-            for pos in rng.choice(N, size=m, replace=False):
-                mask |= 1 << int(pos)
-            return mask
-        case RandomSiteHalf():
-            return int(rng.integers(2)) << int(rng.integers(N))
-        case MarkovEntries(initial=init, transition=rows):
-            state = int(rng.random() < init[1])
-            mask = state
-            for pos in range(1, N):
-                state = int(rng.random() < rows[state][1])
-                mask |= state << pos
-            return mask
-        case _ if is_definetti(model):
-            omega = sample_omega(model, rng)
-            mask = 0
-            for pos in np.flatnonzero(rng.random(N) < omega):
-                mask |= 1 << int(pos)
-            return mask
-    raise DomainError(f"{type(model).__name__} is not samplable")
+    return model.sample_Z(N, rng)
 
 
 def increment_pmf(model, N: int) -> np.ndarray:
@@ -391,60 +561,9 @@ def increment_pmf(model, N: int) -> np.ndarray:
     """
     if N < 1:
         raise DomainError(f"dimension must be >= 1, got {N}")
-    if is_limit(model):
+    if model.is_limit:
         raise DomainError("limit-regime models have no increment law")
-    pc = popcounts(N)
-    match model:
-        case IIDBernoulli(p=p):
-            return p ** pc * (1.0 - p) ** (N - pc)
-        case DeFinettiDiscrete(atoms=atoms, weights=weights):
-            out = np.zeros(1 << N)
-            for a, w in zip(atoms, weights):
-                out += w * a ** pc * (1.0 - a) ** (N - pc)
-            return out
-        case DeFinettiBeta(a=a, b=b):
-            from scipy.special import betaln
-            return np.exp(betaln(a + pc, b + N - pc) - betaln(a, b))
-        case SymmetricBetaSpin(a=a, b=b):
-            nodes, weights = roots_jacobi(N // 2 + 1, b - 1.0, a - 1.0)
-            weights = weights / weights.sum()
-            # xi = +r and -r branches, each with probability 1/2
-            out = np.zeros(1 << N)
-            for x, w in zip(nodes, weights):
-                r = (1.0 + x) / 2.0  # Jacobi node on [-1,1] -> magnitude on [0,1]
-                lo, hi = (1.0 - r) / 2.0, (1.0 + r) / 2.0
-                out += 0.5 * w * (lo ** pc * hi ** (N - pc) + hi ** pc * lo ** (N - pc))
-            return out
-        case SingleFlip():
-            out = np.zeros(1 << N)
-            out[1 << np.arange(N)] = 1.0 / N
-            return out
-        case MFlip(m=m):
-            if m > N:
-                raise DomainError(f"flip count {m} exceeds dimension {N}")
-            out = np.zeros(1 << N)
-            out[pc == m] = 1.0 / comb(N, m)
-            return out
-        case RandomSiteHalf():
-            out = np.zeros(1 << N)
-            out[0] = 0.5
-            out[1 << np.arange(N)] = 0.5 / N
-            return out
-        case MarkovEntries(initial=init, transition=rows):
-            return _markov_pmf(init, np.array(rows), N)
-    raise DomainError(f"unknown model {model!r}")
-
-
-def _markov_pmf(init, T, N):
-    # pmf over prefixes, doubling one position per round; bit p-1 = position p
-    out = np.array(init)  # index = prefix mask of length 1
-    last = np.array([0, 1])  # last bit per prefix
-    for _ in range(1, N):
-        stay = out * T[last, 0]
-        move = out * T[last, 1]
-        out = np.concatenate([stay, move])
-        last = np.concatenate([np.zeros_like(last), np.ones_like(last)])
-    return out
+    return model.pmf(N)
 
 
 _MODEL_NAMES = {
@@ -459,6 +578,7 @@ _MODEL_NAMES = {
     "limit-linear": LimitLinear,
     "limit-poisson-dirichlet": LimitPoissonDirichlet,
 }
+_KEY_ALIASES = {"m": "M"}  # reports print MFlip's flip count as "M"
 
 
 def model_from_dict(spec: dict) -> IncrementModel:
@@ -469,59 +589,24 @@ def model_from_dict(spec: dict) -> IncrementModel:
     cls = _MODEL_NAMES.get(name)
     if cls is None:
         raise DomainError(f"unknown model name {spec['model']!r}; known: {sorted(_MODEL_NAMES)}")
-    args = {k: v for k, v in spec.items() if k != "model"}
-    lowered = {k.lower(): v for k, v in args.items()}
+    lowered = {k.lower(): v for k, v in spec.items() if k != "model"}
     try:
-        match cls.__name__:
-            case "IIDBernoulli":
-                return IIDBernoulli(p=float(lowered["p"]))
-            case "DeFinettiDiscrete":
-                return DeFinettiDiscrete(atoms=tuple(lowered["atoms"]),
-                                         weights=tuple(lowered["weights"]))
-            case "DeFinettiBeta":
-                return DeFinettiBeta(a=float(lowered["a"]), b=float(lowered["b"]))
-            case "SingleFlip":
-                return SingleFlip()
-            case "MFlip":
-                return MFlip(m=int(lowered["m"]))
-            case "RandomSiteHalf":
-                return RandomSiteHalf()
-            case "MarkovEntries":
-                return MarkovEntries(initial=tuple(lowered["initial"]),
-                                     transition=tuple(tuple(r) for r in lowered["transition"]))
-            case "SymmetricBetaSpin":
-                return SymmetricBetaSpin(a=float(lowered["a"]), b=float(lowered["b"]))
-            case "LimitLinear":
-                return LimitLinear(gamma=float(lowered["gamma"]))
-            case "LimitPoissonDirichlet":
-                return LimitPoissonDirichlet(kappa=float(lowered["kappa"]))
+        return cls(**{f.name: f.type(lowered[f.name]) for f in fields(cls)})
     except KeyError as missing:
         raise DomainError(f"model {name!r} is missing parameter {missing}") from None
-    raise AssertionError
 
 
 def model_to_dict(model) -> dict:
     """Inverse of model_from_dict, for reports and reproducibility."""
     for name, cls in _MODEL_NAMES.items():
-        if isinstance(model, cls):
+        if type(model) is cls:
             out = {"model": name}
-            match model:
-                case IIDBernoulli(p=p):
-                    out["p"] = p
-                case DeFinettiDiscrete(atoms=atoms, weights=weights):
-                    out["atoms"] = list(atoms)
-                    out["weights"] = list(weights)
-                case DeFinettiBeta(a=a, b=b) | SymmetricBetaSpin(a=a, b=b):
-                    out["a"] = a
-                    out["b"] = b
-                case MFlip(m=m):
-                    out["M"] = m
-                case MarkovEntries(initial=init, transition=rows):
-                    out["initial"] = list(init)
-                    out["transition"] = [list(r) for r in rows]
-                case LimitLinear(gamma=gamma):
-                    out["gamma"] = gamma
-                case LimitPoissonDirichlet(kappa=kappa):
-                    out["kappa"] = kappa
+            for f in fields(model):
+                out[_KEY_ALIASES.get(f.name, f.name)] = _plain(getattr(model, f.name))
             return out
     raise DomainError(f"unknown model {model!r}")
+
+
+def _plain(value):
+    """Tuples (nested ones too) as JSON lists."""
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value

@@ -29,7 +29,8 @@ from .errors import DomainError
 from .field import FieldSample
 from .polynomials import (EXACT_N_LIMIT, hermite_weighted_all,
                           krawtchouk_weighted_row)
-from .walk import GreenSpec, spectral_weights
+from .increments import SingleFlip
+from .walk import GreenSpec
 from .walsh import popcounts
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
@@ -170,15 +171,9 @@ class MomentOnlyY:
 
 def mixture_from_model(model) -> "CorrelationMixture":
     """The correlation-mixture law attached to a limit-regime increment model."""
-    from . import increments
-    match model:
-        case increments.LimitLinear(gamma=gamma):
-            return VanishingKillingY(gamma)
-        case increments.LimitPoissonDirichlet(kappa=kappa):
-            return MomentOnlyY(
-                lambda k: 1.0 / (1.0 + increments.b_k(model, k, None, None)),
-                label=f"Poisson-Dirichlet limit, kappa = {kappa}")
-    raise DomainError(f"{type(model).__name__} is not a limit-regime model")
+    if not model.is_limit:
+        raise DomainError(f"{type(model).__name__} is not a limit-regime model")
+    return model.mixture()
 
 
 def mixture_from_product_law(law) -> MomentOnlyY:
@@ -224,7 +219,7 @@ def levelset_representation(spec: GreenSpec, zetas: np.ndarray) -> np.ndarray:
 def _representation_matrix(spec: GreenSpec, dtype=np.float64) -> np.ndarray:
     """B with theta = B zeta; row v, column k."""
     N = spec.N
-    m = np.sqrt(spectral_weights(spec).astype(dtype))
+    m = np.sqrt(spec.weights.astype(dtype))
     B = np.empty((N + 1, N + 1), dtype=dtype)
     half = dtype(2.0) ** dtype(-N / 2.0)
     for v in range(N + 1):
@@ -246,7 +241,7 @@ def levelset_cov_matrix(spec: GreenSpec, dtype=np.float64) -> np.ndarray:
     stable up to large N.
     """
     N = spec.N
-    w = spectral_weights(spec).astype(dtype)  # E[Y^k], k = 0..N
+    w = spec.weights.astype(dtype)  # E[Y^k], k = 0..N
     rows = np.stack([krawtchouk_weighted_row(N, v, dtype=dtype) for v in range(N + 1)])
     if N <= EXACT_N_LIMIT:
         pref = np.array([comb(N, v) for v in range(N + 1)], dtype=dtype) \
@@ -402,10 +397,7 @@ def scaled_levelset_cov(N: int, gamma: float, t: float, s: float) -> float:
     v = int(N / 2 + sqrt(N) / 2 * s)
     if not (0 <= u <= N and 0 <= v <= N):
         raise DomainError(f"scaled index out of range: t={t}, s={s} at N={N}")
-    alpha = 1.0 - gamma / N
-    c = alpha / (1.0 - alpha)
-    k = np.arange(N + 1)
-    w = 1.0 / (1.0 + c * (2.0 * k / N))  # E[Y^k] at finite N, rho_k = 1 - 2k/N
+    w = GreenSpec(N, SingleFlip(), 1.0 - gamma / N).weights  # E[Y^k] at finite N
     ru = krawtchouk_weighted_row(N, u)
     rv = krawtchouk_weighted_row(N, v)
     pref_u = sqrt(N) / 2.0 * exp(_log_binom(N, u) - N * log(2.0))

@@ -23,163 +23,30 @@ from dataclasses import dataclass, field
 from math import comb, exp, inf, log
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 from . import increments
 from .errors import DomainError
 from .walk import GreenSpec, green_spectral
 
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
-
-
 # ---------------------------------------------------------------------------
-# spin measures
+# spin measures: the de Finetti increment models themselves
 
 
-@dataclass(frozen=True)
-class DiscreteSpin:
-    """Finitely many atoms on [-1, 1]."""
-    points: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        pts = tuple(float(p) for p in self.points)
-        wts = tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
-        if len(pts) != len(wts) or not pts:
-            raise DomainError("points and weights must be nonempty and equal length")
-        if any(abs(p) > 1.0 for p in pts):
-            raise DomainError("spin atoms must lie in [-1, 1]")
-        if any(w < 0 for w in wts) or abs(sum(wts) - 1.0) > 1e-12:
-            raise DomainError("weights must be nonnegative and sum to 1")
-
-    def moment(self, k):
-        return sum(w * p ** k for p, w in zip(self.points, self.weights))
-
-    def abs_moment(self, theta):
-        self._no_zero_atom(theta)
-        return sum(w * abs(p) ** theta for p, w in zip(self.points, self.weights))
-
-    def abs_moment_split(self, theta):
-        """(integral over [-1,0], integral over (0,1]) of |xi|^theta."""
-        self._no_zero_atom(theta)
-        neg = sum(w * abs(p) ** theta for p, w in zip(self.points, self.weights) if p <= 0)
-        pos = sum(w * p ** theta for p, w in zip(self.points, self.weights) if p > 0)
-        return neg, pos
-
-    def mass_nonpositive(self):
-        return sum(w for p, w in zip(self.points, self.weights) if p <= 0)
-
-    def has_atom_at_zero(self):
-        return any(w > 0 and p == 0.0 for p, w in zip(self.points, self.weights))
-
-    def sample(self, rng, size=None):
-        return rng.choice(self.points, p=self.weights, size=size)
-
-    def _no_zero_atom(self, theta):
-        if theta > 0 and self.has_atom_at_zero():
-            raise DomainError("measure has an atom at zero; |xi|^theta integrals undefined")
+SpinMeasure = increments.IIDBernoulli | increments.DeFinettiDiscrete \
+    | increments.DeFinettiBeta | increments.SymmetricBetaSpin
 
 
-def delta_spin(value: float) -> DiscreteSpin:
-    return DiscreteSpin((value,), (1.0,))
+def delta_spin(value: float) -> increments.IIDBernoulli:
+    """Unit point mass at xi = value: the i.i.d. law with omega = (1 - value)/2."""
+    return increments.IIDBernoulli((1.0 - value) / 2.0)
 
 
-@dataclass(frozen=True)
-class BetaOmegaSpin:
-    """Pushforward of omega ~ Beta(a, b) under xi = 1 - 2*omega."""
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise DomainError("Beta parameters must be positive")
-
-    def moment(self, k):
-        return increments.rho_k(increments.DeFinettiBeta(self.a, self.b), k)
-
-    def abs_moment(self, theta):
-        neg, pos = self.abs_moment_split(theta)
-        return neg + pos
-
-    def abs_moment_split(self, theta):
-        dens = self._omega_density
-        # xi <= 0 is omega >= 1/2
-        neg = quad(lambda w: (2 * w - 1.0) ** theta * dens(w), 0.5, 1.0, **_QUAD_OPTS)[0]
-        pos = quad(lambda w: (1.0 - 2 * w) ** theta * dens(w), 0.0, 0.5, **_QUAD_OPTS)[0]
-        return neg, pos
-
-    def _omega_density(self, w):
-        if w <= 0.0 or w >= 1.0:
-            return 0.0
-        ln = (self.a - 1) * log(w) + (self.b - 1) * log(1 - w) \
-            - (gammaln(self.a) + gammaln(self.b) - gammaln(self.a + self.b))
-        return exp(ln)
-
-    def mass_nonpositive(self):
-        from scipy.special import betainc
-        return 1.0 - float(betainc(self.a, self.b, 0.5))
-
-    def has_atom_at_zero(self):
-        return False
-
-    def sample(self, rng, size=None):
-        return 1.0 - 2.0 * rng.beta(self.a, self.b, size=size)
-
-
-@dataclass(frozen=True)
-class SymmetricBetaMagnitudeSpin:
-    """xi = S * R with S = +-1 equiprobable and R ~ Beta(a, b) on (0, 1]."""
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise DomainError("Beta parameters must be positive")
-
-    def moment(self, k):
-        if k % 2 == 1:
-            return 0.0
-        return self.abs_moment(k)
-
-    def abs_moment(self, theta):
-        # E[R^theta] = Gamma(a+theta)Gamma(a+b) / (Gamma(a+b+theta)Gamma(a))
-        return exp(gammaln(self.a + theta) + gammaln(self.a + self.b)
-                   - gammaln(self.a + self.b + theta) - gammaln(self.a))
-
-    def abs_moment_split(self, theta):
-        half = 0.5 * self.abs_moment(theta)
-        return half, half
-
-    def mass_nonpositive(self):
-        return 0.5
-
-    def has_atom_at_zero(self):
-        return False
-
-    def sample(self, rng, size=None):
-        r = rng.beta(self.a, self.b, size=size)
-        signs = np.where(rng.random(size=size) < 0.5, 1.0, -1.0)
-        return signs * r
-
-
-def spin_measure_of(model) -> "SpinMeasure":
-    """The spin measure attached to a mixture-type increment model."""
-    match model:
-        case increments.IIDBernoulli(p=p):
-            return delta_spin(1.0 - 2.0 * p)
-        case increments.DeFinettiDiscrete(atoms=atoms, weights=weights):
-            return DiscreteSpin(tuple(1.0 - 2.0 * a for a in atoms), weights)
-        case increments.DeFinettiBeta(a=a, b=b):
-            return BetaOmegaSpin(a, b)
-        case increments.SymmetricBetaSpin(a=a, b=b):
-            return SymmetricBetaMagnitudeSpin(a, b)
-    raise DomainError(f"{type(model).__name__} carries no spin measure")
-
-
-SpinMeasure = DiscreteSpin | BetaOmegaSpin | SymmetricBetaMagnitudeSpin
+def spin_measure_of(model) -> SpinMeasure:
+    """The spin measure attached to a mixture-type increment model: the model itself."""
+    if not model.is_definetti:
+        raise DomainError(f"{type(model).__name__} carries no spin measure")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +88,7 @@ def moment_Y(law: YLaw, k: int) -> float:
     """E[Y_phi^k] = (1 + c (1 - rho_k))^(-phi) (origin-start convention)."""
     if k < 0:
         raise DomainError(f"moment order must be >= 0, got {k}")
-    rho = law.spin.moment(k)
-    return (1.0 + law.c * (1.0 - rho)) ** (-law.phi)
+    return (1.0 + law.spin.gap(k, None, law.alpha)) ** (-law.phi)
 
 
 def sample_Y_signed_log(law: YLaw, rng: np.random.Generator,

@@ -19,9 +19,10 @@ H_{k+1}(t) = t H_k(t) - k H_{k-1}(t), generated by e^{wt - w^2/2}.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, sqrt
+from math import comb, log, sqrt
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import DomainError
 
@@ -104,6 +105,21 @@ def krawtchouk_eval(k: int, w: int, N: int):
         num = sum((-1) ** j * comb(w, j) * comb(N - w, k - j) for j in range(k + 1))
         return Fraction(num, comb(N, k))
     return float(krawtchouk_row(N, w, k)[k])
+
+
+def binomial_pmf(N: int) -> np.ndarray:
+    """binom(N,k) 2^-N for k = 0..N: exact integers up to EXACT_N_LIMIT, log-gamma beyond."""
+    if N <= EXACT_N_LIMIT:
+        return np.array([comb(N, k) for k in range(N + 1)], dtype=float) * 0.5 ** N
+    k = np.arange(N + 1)
+    return np.exp(gammaln(N + 1) - gammaln(k + 1) - gammaln(N - k + 1) - N * log(2.0))
+
+
+def krawtchouk_column(N: int, w: int) -> np.ndarray:
+    """Q_k(w; N, 1/2) for k = 0..N: the exact table up to EXACT_N_LIMIT, the recurrence beyond."""
+    if N <= EXACT_N_LIMIT:
+        return cached_basis(N).q_row(w)
+    return krawtchouk_row(N, w)
 
 
 def krawtchouk_row(N: int, w: int, max_degree: int | None = None) -> np.ndarray:

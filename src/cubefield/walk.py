@@ -13,15 +13,16 @@ whole tables are one Walsh-Hadamard transform of the coefficient vector.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial, floor, log
 
 import numpy as np
 
 from . import increments
 from .errors import DomainError, ResourceLimitError
-from .increments import IncrementModel, increment_pmf, is_exchangeable, is_limit, rho_k
-from .polynomials import EXACT_N_LIMIT, cached_basis, krawtchouk_row
-from .walsh import fwht, subset_signs
+from .increments import IncrementModel, increment_pmf, killing_gap, rho_by_size
+from .polynomials import binomial_pmf, krawtchouk_column
+from .walsh import fwht, popcounts, subset_signs
 
 ORACLE_N_LIMIT = 12
 SPECTRAL_ENUMERATION_N_LIMIT = 24
@@ -29,7 +30,12 @@ SPECTRAL_ENUMERATION_N_LIMIT = 24
 
 @dataclass(frozen=True)
 class GreenSpec:
-    """Dimension, increment law, and killing parameter: fixes the field covariance."""
+    """Dimension, increment law, and killing parameter: fixes the field covariance.
+
+    The size-indexed spectrum (k = 0..N, exchangeable models) is computed on
+    first use and kept with the spec; the 2^N subset table is rebuilt on each
+    call so no full-cube array outlives it.
+    """
     N: int
     model: IncrementModel
     alpha: float
@@ -39,12 +45,41 @@ class GreenSpec:
             raise DomainError(f"dimension must be >= 1, got {self.N}")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must be in (0,1), got {self.alpha}")
-        if is_limit(self.model):
+        if self.model.is_limit:
             raise DomainError("limit-regime models have no finite-N walk")
 
     @property
     def c(self) -> float:
         return self.alpha / (1.0 - self.alpha)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """rho_k for k = 0..N."""
+        if not self.model.is_exchangeable:
+            raise DomainError("size-indexed tables need an exchangeable model")
+        return rho_by_size(self.model, self.N)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """(1 + c (1 - rho_k))^-1 = E[Y^k] for k = 0..N."""
+        return 1.0 / (1.0 + killing_gap(self.c, self.rho))
+
+    @cached_property
+    def half_weights(self) -> np.ndarray:
+        """(1 + c (1 - rho_k))^(-1/2) for k = 0..N."""
+        return 1.0 / np.sqrt(1.0 + killing_gap(self.c, self.rho))
+
+    @cached_property
+    def binom_pmf(self) -> np.ndarray:
+        """Binomial(N, 1/2) probabilities for k = 0..N."""
+        return binomial_pmf(self.N)
+
+    def subset_table(self) -> np.ndarray:
+        """(1 + c (1 - rho_A))^-1 for every subset bitmask A (2^N vector)."""
+        if self.model.is_exchangeable:
+            return self.weights[popcounts(self.N)]
+        rho = increments.rho_all_subsets(self.model, self.N)
+        return 1.0 / (1.0 + killing_gap(self.c, rho))
 
 
 def step(x: int, model, N: int, rng: np.random.Generator) -> int:
@@ -71,37 +106,11 @@ def t_step_prob(model, N: int, t: int, x: int, y: int) -> float:
     _check_vertex(x, N)
     _check_vertex(y, N)
     d = (x ^ y).bit_count()
-    if is_exchangeable(model):
-        rho = np.array([rho_k(model, k, N) for k in range(N + 1)])
-        return float(np.dot(_binom_pmf(N) * _q_table_col(N, d), rho ** t))
-    if N > SPECTRAL_ENUMERATION_N_LIMIT:
-        raise ResourceLimitError(
-            f"subset enumeration is capped at N={SPECTRAL_ENUMERATION_N_LIMIT}, got {N}")
+    if model.is_exchangeable:
+        return float(np.dot(binomial_pmf(N) * krawtchouk_column(N, d), rho_by_size(model, N) ** t))
+    _check_enumerable(N)
     rho = increments.rho_all_subsets(model, N)
     return float(np.dot(rho ** t, subset_signs(x ^ y, N))) / (1 << N)
-
-
-def _binom_pmf(N: int) -> np.ndarray:
-    if N <= EXACT_N_LIMIT:
-        return np.array([comb(N, k) for k in range(N + 1)], dtype=float) * 0.5 ** N
-    from scipy.special import gammaln
-    k = np.arange(N + 1)
-    return np.exp(gammaln(N + 1) - gammaln(k + 1) - gammaln(N - k + 1) - N * log(2.0))
-
-
-def _q_table_col(N: int, d: int) -> np.ndarray:
-    """Q_k(d) for k = 0..N."""
-    if N <= EXACT_N_LIMIT:
-        return cached_basis(N).q_row(d)
-    return krawtchouk_row(N, d)
-
-
-def spectral_weights(spec: GreenSpec) -> np.ndarray:
-    """(1 + c (1 - rho_k))^-1 for k = 0..N (exchangeable models)."""
-    if not is_exchangeable(spec.model):
-        raise DomainError("size-indexed weights need an exchangeable model")
-    rho = np.array([rho_k(spec.model, k, spec.N) for k in range(spec.N + 1)])
-    return 1.0 / (1.0 + spec.c * (1.0 - rho))
 
 
 def green_spectral(spec: GreenSpec, x: int, y: int) -> float:
@@ -116,29 +125,17 @@ def green_spectral(spec: GreenSpec, x: int, y: int) -> float:
     """
     _check_vertex(x, spec.N)
     _check_vertex(y, spec.N)
-    if is_exchangeable(spec.model):
+    if spec.model.is_exchangeable:
         d = (x ^ y).bit_count()
-        return float(np.dot(_binom_pmf(spec.N) * _q_table_col(spec.N, d),
-                            spectral_weights(spec)))
-    if spec.N > SPECTRAL_ENUMERATION_N_LIMIT:
-        raise ResourceLimitError(
-            f"subset enumeration is capped at N={SPECTRAL_ENUMERATION_N_LIMIT}, got {spec.N}")
-    weights = subset_weights(spec)
-    return float(np.dot(weights, subset_signs(x ^ y, spec.N))) / (1 << spec.N)
-
-
-def subset_weights(spec: GreenSpec) -> np.ndarray:
-    """(1 + c (1 - rho_A))^-1 for every subset bitmask A (2^N vector)."""
-    rho = increments.rho_all_subsets(spec.model, spec.N)
-    return 1.0 / (1.0 + spec.c * (1.0 - rho))
+        return float(np.dot(spec.binom_pmf * krawtchouk_column(spec.N, d), spec.weights))
+    _check_enumerable(spec.N)
+    return float(np.dot(spec.subset_table(), subset_signs(x ^ y, spec.N))) / (1 << spec.N)
 
 
 def green_xor_table(spec: GreenSpec) -> np.ndarray:
     """(1-alpha) G(x, y) for every displacement d = x XOR y, via one fast transform."""
-    if spec.N > SPECTRAL_ENUMERATION_N_LIMIT:
-        raise ResourceLimitError(
-            f"subset enumeration is capped at N={SPECTRAL_ENUMERATION_N_LIMIT}, got {spec.N}")
-    return fwht(subset_weights(spec)) / (1 << spec.N)
+    _check_enumerable(spec.N)
+    return fwht(spec.subset_table()) / (1 << spec.N)
 
 
 def green_matrix_spectral(spec: GreenSpec) -> np.ndarray:
@@ -162,14 +159,12 @@ def green_hamming(spec: GreenSpec, u: int, v: int) -> float:
 
     binom(N,v) 2^-N [1 + sum_k (1+c(1-rho_k))^-1 binom(N,k) Q_k(v) Q_k(u)].
     """
-    if not is_exchangeable(spec.model):
+    if not spec.model.is_exchangeable:
         raise DomainError("the Hamming kernel needs an exchangeable model")
     if not (0 <= u <= spec.N and 0 <= v <= spec.N):
         raise DomainError(f"levels must lie in [0, {spec.N}], got u={u}, v={v}")
-    w = spectral_weights(spec)
-    qu, qv = _q_table_col(spec.N, u), _q_table_col(spec.N, v)
-    binoms = np.array([comb(spec.N, k) for k in range(spec.N + 1)], dtype=float)
-    series = float(np.dot(w * binoms * 0.5 ** spec.N, qu * qv))
+    qu, qv = krawtchouk_column(spec.N, u), krawtchouk_column(spec.N, v)
+    series = float(np.dot(spec.weights * spec.binom_pmf, qu * qv))
     return comb(spec.N, v) * series
 
 
@@ -203,6 +198,12 @@ def coupon_collector_prob(t: int, N: int) -> float:
         return 1.0 if t == 1 else 0.0
     s2 = sum((-1) ** (b - j) * comb(b, j) * j ** a for j in range(b + 1)) // factorial(b)
     return float(Fraction(s2 * factorial(N), N ** t))
+
+
+def _check_enumerable(N: int):
+    if N > SPECTRAL_ENUMERATION_N_LIMIT:
+        raise ResourceLimitError(
+            f"subset enumeration is capped at N={SPECTRAL_ENUMERATION_N_LIMIT}, got {N}")
 
 
 def _check_vertex(x: int, N: int):

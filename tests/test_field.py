@@ -20,7 +20,7 @@ def spec_of(N=4, model=None, alpha=0.5):
 def naive_field(spec, noise):
     """O(4^N) double loop over vertices and subsets."""
     n = 1 << spec.N
-    coef = fld.coefficient_table(spec)
+    coef = np.sqrt(spec.subset_table())
     out = np.zeros(n)
     for x in range(n):
         acc = 0.0
@@ -84,7 +84,7 @@ def test_cholesky_covariance_equals_spectral_analytically():
     # must equal the Green matrix that the Cholesky route factorizes
     spec = spec_of(4, DEFINETTI, 0.5)
     n = 16
-    coef = fld.coefficient_table(spec)
+    coef = np.sqrt(spec.subset_table())
     M = np.empty((n, n))
     for x in range(n):
         for a in range(n):
@@ -284,8 +284,8 @@ def test_nested_fields_regression_slope(rng):
     den = 0.0
     spec_hi = spec_of(N, DEFINETTI, alpha)
     spec_lo = spec_of(N - 1, DEFINETTI, alpha)
-    coef_hi = fld.coefficient_table(spec_hi)
-    coef_lo = fld.coefficient_table(spec_lo)
+    coef_hi = np.sqrt(spec_hi.subset_table())
+    coef_lo = np.sqrt(spec_lo.subset_table())
     x = 0b1010
     noise_mat = rng.standard_normal((reps, 1 << N))
     from cubefield.walsh import subset_signs
@@ -303,7 +303,7 @@ def test_nested_fields_triangular_blocks_uncorrelated(rng):
     # group the expansion by the maximal element of A; blocks must be orthogonal
     alpha, N, reps = 0.45, 3, 80_000
     spec = spec_of(N, DEFINETTI, alpha)
-    coef = fld.coefficient_table(spec)
+    coef = np.sqrt(spec.subset_table())
     x = 0b101
     from cubefield.walsh import subset_signs
     signs = subset_signs(x, N)
@@ -418,6 +418,14 @@ def test_kspin_pmf_normalization_and_degenerate_case():
     assert np.abs(pk - expected).max() < 1e-13
 
 
+def test_kspin_pmf_large_dimension():
+    # binom(1100, k) does not fit in a float; the order law must still be a
+    # probability vector
+    pmf = fld.kspin_order_pmf(spec_of(1100, DEFINETTI, 0.5))
+    assert np.all(np.isfinite(pmf)) and pmf.min() >= 0.0
+    assert abs(pmf.sum() - 1.0) < 1e-12
+
+
 def test_kspin_conditional_mean_is_spectral_field(rng):
     spec = spec_of(4, DEFINETTI, 0.5)
     noise = fld.SpectralNoise.draw(4, rng)
@@ -432,7 +440,7 @@ def test_kspin_single_draw_covariance(rng):
     # re-implementation of the draw (fresh order and noise each replicate),
     # spot-checked against the API sampler
     spec = spec_of(3, DEFINETTI, 0.5)
-    m = fld.half_weights(spec)
+    m = spec.half_weights
     R = float(sum(comb(3, k) * m[k] for k in range(4)))
     from cubefield.polynomials import KrawtchoukBasis
     basis = KrawtchoukBasis(3)

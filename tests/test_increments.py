@@ -264,5 +264,8 @@ def test_model_from_dict_examples():
     assert inc.model_from_dict({"model": "single_flip"}) == inc.SingleFlip()
     with pytest.raises(DomainError):
         inc.model_from_dict({"model": "unknown-thing"})
-    with pytest.raises(DomainError):
-        inc.model_from_dict({"model": "mflip"})  # missing M
+    for name in ("iid-bernoulli", "definetti-discrete", "definetti-beta", "mflip",
+                 "markov-entries", "symmetric-beta-spin", "limit-linear",
+                 "limit-poisson-dirichlet"):
+        with pytest.raises(DomainError):
+            inc.model_from_dict({"model": name})  # missing parameter, e.g. M for mflip
