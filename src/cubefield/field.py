@@ -20,8 +20,8 @@ import numpy as np
 
 from . import increments
 from .errors import DomainError, NumericError, ResourceLimitError
-from .walk import (GreenSpec, SPECTRAL_ENUMERATION_N_LIMIT, green_matrix_oracle,
-                   green_spectral, transition_matrix)
+from .walk import (GreenSpec, SPECTRAL_ENUMERATION_N_LIMIT, check_vertex, green_matrix_oracle,
+                   green_xor_table, transition_matrix)
 from .walsh import bit_positions, fwht, iter_submasks, popcounts
 
 CHOLESKY_POINT_LIMIT = 4096
@@ -86,20 +86,22 @@ def sample_field_spectral_batch(spec: GreenSpec, rng: np.random.Generator,
 def sample_field_cholesky(spec: GreenSpec, points, rng: np.random.Generator) -> FieldSample:
     """Draw the field on an arbitrary point list through a covariance factorization.
 
-    Same law as the spectral sampler restricted to the points.  On a
-    factorization failure the diagonal is jittered once by 1e-12 * trace/m.
+    Same law as the spectral sampler restricted to the points; the covariance
+    is read from spec.by_distance (exchangeable models) or green_xor_table.
+    On a factorization failure the diagonal is jittered once by 1e-12 * trace/m.
     """
     points = tuple(int(p) for p in points)
     m = len(points)
     if m == 0 or m > CHOLESKY_POINT_LIMIT:
         raise DomainError(f"point count must be in [1, {CHOLESKY_POINT_LIMIT}], got {m}")
-    cov = np.empty((m, m))
-    for i, x in enumerate(points):
-        for j, y in enumerate(points):
-            if j < i:
-                cov[i, j] = cov[j, i]
-            else:
-                cov[i, j] = green_spectral(spec, x, y)
+    for x in points:
+        check_vertex(x, spec.N)
+    # Python ints: past N = 64 the vertices do not fit a machine word
+    xor = [[x ^ y for y in points] for x in points]
+    if spec.model.is_exchangeable:
+        cov = spec.by_distance[np.array([[d.bit_count() for d in row] for row in xor])]
+    else:
+        cov = green_xor_table(spec)[np.array(xor)]
     provenance = "cholesky"
     try:
         factor = np.linalg.cholesky(cov)

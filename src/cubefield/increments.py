@@ -23,7 +23,7 @@ from scipy.integrate import quad
 from scipy.special import betainc, betaln, gammaln, roots_jacobi
 
 from .errors import DomainError
-from .polynomials import EXACT_N_LIMIT, krawtchouk_eval, krawtchouk_row
+from .polynomials import krawtchouk_eval
 from .walsh import popcounts
 
 # past this order the alternating binomial expansion cancels (~3^k * eps);
@@ -325,8 +325,7 @@ class MFlip(_DimensionDependent):
 
     def _rho(self, k, N):
         self._check_fits(N)
-        return float(krawtchouk_eval(self.m, k, N)) if N <= EXACT_N_LIMIT \
-            else float(krawtchouk_row(N, k, self.m)[self.m])
+        return float(krawtchouk_eval(self.m, k, N))
 
     def pmf(self, N):
         self._check_fits(N)

@@ -19,16 +19,17 @@ carry the even and odd spectral blocks.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, exp, lgamma, log, pi, sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad as _scipy_quad
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .field import FieldSample
 from .polynomials import (EXACT_N_LIMIT, hermite_weighted_all,
-                          krawtchouk_weighted_row)
+                          krawtchouk_weighted_matrix)
 from .increments import SingleFlip
 from .walk import GreenSpec
 from .walsh import popcounts
@@ -75,9 +76,6 @@ class FixedCorrelation:
     def gap_laplace(self, lam: float) -> float:
         """E[e^(-lam (1 - Y))]."""
         return exp(-lam * (1.0 - self.value))
-
-    def exp_moment(self, x: float) -> float:
-        return exp(x * self.value)
 
     def scaled_exp_moment(self, x: float, log_scale: float) -> float:
         """e^log_scale E[e^(xY)] with the exponents combined (no overflow)."""
@@ -128,12 +126,6 @@ class VanishingKillingY:
                    0.0, hi, **_QUAD_OPTS)[0]
         return g / (2.0 * lam) * float(val)
 
-    def exp_moment(self, x: float) -> float:
-        """E[e^(xY)]; goes through gap_laplace for positive x."""
-        if x > 0:
-            return exp(x) * self.gap_laplace(x)
-        return self.expect(lambda y: exp(x * y))
-
     def scaled_exp_moment(self, x: float, log_scale: float) -> float:
         """e^log_scale E[e^(xY)] with the exponents combined (no overflow)."""
         if x > 0:
@@ -157,9 +149,6 @@ class MomentOnlyY:
         raise DomainError(f"{self.label} provides moments only, no mixture expectations")
 
     def gap_laplace(self, lam):
-        raise DomainError(f"{self.label} provides moments only, no mixture expectations")
-
-    def exp_moment(self, x):
         raise DomainError(f"{self.label} provides moments only, no mixture expectations")
 
     def scaled_exp_moment(self, x, log_scale):
@@ -213,19 +202,22 @@ def levelset_representation(spec: GreenSpec, zetas: np.ndarray) -> np.ndarray:
     zetas = np.asarray(zetas, dtype=float)
     if zetas.shape != (spec.N + 1,):
         raise DomainError(f"need {spec.N + 1} normals, got shape {zetas.shape}")
-    return _representation_matrix(spec) @ zetas
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
+            theta = _representation_matrix(spec) @ zetas
+    except OverflowError as err:  # binom(N, v) itself is past the float range
+        raise NumericError(f"binom({spec.N}, v) is past the float range") from err
+    return _finite(theta, "level-set representation", spec.N)
 
 
 def _representation_matrix(spec: GreenSpec, dtype=np.float64) -> np.ndarray:
     """B with theta = B zeta; row v, column k."""
     N = spec.N
     m = np.sqrt(spec.weights.astype(dtype))
-    B = np.empty((N + 1, N + 1), dtype=dtype)
     half = dtype(2.0) ** dtype(-N / 2.0)
-    for v in range(N + 1):
-        r = krawtchouk_weighted_row(N, v, dtype=dtype)  # sqrt(binom) * Q_k(v)
-        B[v] = comb(N, v) * half * m * r
-    return B
+    pref = np.array([comb(N, v) for v in range(N + 1)], dtype=dtype) * half
+    # row v is binom(N,v) 2^(-N/2) m_k sqrt(binom(N,k)) Q_k(v)
+    return pref[:, None] * m[None, :] * krawtchouk_weighted_matrix(N, dtype)
 
 
 def levelset_cov(spec: GreenSpec, u: int, v: int) -> float:
@@ -237,24 +229,32 @@ def levelset_cov_matrix(spec: GreenSpec, dtype=np.float64) -> np.ndarray:
     """All level-set covariances at once.
 
     Computed as binom(N,u) binom(N,v) 2^-N sum_k E[Y^k] r_k(u) r_k(v) with
-    r_k = sqrt(binom(N,k)) Q_k; every factor stays O(poly) so the sum is
-    stable up to large N.
+    r_k = sqrt(binom(N,k)) Q_k.  The sum alternates in sign, so rows near
+    the edges (u near 0 or N) lose their digits past N ~ 50 (README, "Size
+    caps"); past N ~ 1050 the result leaves the float range.
     """
     N = spec.N
     w = spec.weights.astype(dtype)  # E[Y^k], k = 0..N
-    rows = np.stack([krawtchouk_weighted_row(N, v, dtype=dtype) for v in range(N + 1)])
-    if N <= EXACT_N_LIMIT:
-        pref = np.array([comb(N, v) for v in range(N + 1)], dtype=dtype) \
-            * dtype(2.0) ** dtype(-N / 2.0)
-    else:
-        pref = np.exp(np.array([_log_binom(N, v) for v in range(N + 1)])
-                      - N * log(2.0) / 2.0).astype(dtype)
-    core = (rows * w) @ rows.T
-    return pref[:, None] * pref[None, :] * core
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
+        rows = krawtchouk_weighted_matrix(N, dtype)
+        if N <= EXACT_N_LIMIT:
+            pref = np.array([comb(N, v) for v in range(N + 1)], dtype=dtype) \
+                * dtype(2.0) ** dtype(-N / 2.0)
+        else:
+            pref = np.exp(np.array([_log_binom(N, v) for v in range(N + 1)])
+                          - N * log(2.0) / 2.0).astype(dtype)
+        cov = pref[:, None] * pref[None, :] * ((rows * w) @ rows.T)
+    return _finite(cov, "level-set covariance", N)
 
 
 def _log_binom(N: int, v: int) -> float:
     return lgamma(N + 1) - lgamma(v + 1) - lgamma(N - v + 1)
+
+
+def _finite(values: np.ndarray, what: str, N: int) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise NumericError(f"the {what} at N={N} is past the float range")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +273,23 @@ class KappaSpec:
     def half_moments(self) -> np.ndarray:
         return np.sqrt([self.ylaw.moment(k) for k in range(self.order + 1)])
 
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """(2 pi)^(-1/2) e^(-t^2/2) m_k H_k(t) / sqrt(k!): rows t in the grid,
+        columns k = 0..order, so kappa over the grid is basis @ zeta."""
+        t = np.array(self.grid)
+        envelope = np.exp(-0.5 * t * t) / sqrt(2.0 * pi)
+        return envelope[:, None] * self.half_moments * hermite_weighted_all(self.order, t)
 
-def build_kappa_spec(ylaw: CorrelationMixture, grid,
-                     step: int = TRUNCATION_STEP,
-                     rel_tol: float = TRUNCATION_REL_TOL,
-                     cap: int = TRUNCATION_CAP) -> KappaSpec:
+
+def build_kappa_spec(ylaw: CorrelationMixture, grid) -> KappaSpec:
     """Pick the truncation order by the variance-increment rule.
 
-    Raise the order in steps until the variance added over the whole grid
-    drops below rel_tol relatively, hard cap `cap`, and record an envelope
-    bound on the remaining tail.  Moment sequences that do not vanish
-    (a correlation atom at 1) are rejected: the series variance diverges.
+    Raise the order in steps of TRUNCATION_STEP until the variance added over
+    the whole grid drops below TRUNCATION_REL_TOL relatively, hard cap
+    TRUNCATION_CAP, and record an envelope bound on the remaining tail.
+    Moment sequences that do not vanish (a correlation atom at 1) are
+    rejected: the series variance diverges.
     """
     grid = tuple(float(t) for t in grid)
     if not grid:
@@ -292,22 +298,14 @@ def build_kappa_spec(ylaw: CorrelationMixture, grid,
         raise DomainError(
             f"inadmissible moment sequence for {ylaw.describe()}: E[Y^k] does not vanish "
             "(correlation mass at 1); use a limit-regime law")
-    hw = {t: hermite_weighted_all(cap, t) for t in grid}
-    order = 0
-    var = {t: ylaw.moment(0) * hw[t][0] ** 2 for t in grid}
-    while order < cap:
-        nxt = min(order + step, cap)
-        inc = {t: 0.0 for t in grid}
-        for k in range(order + 1, nxt + 1):
-            mk = ylaw.moment(k)
-            for t in grid:
-                inc[t] += mk * hw[t][k] ** 2
-        rel = max(inc[t] / (var[t] + inc[t]) for t in grid)
-        for t in grid:
-            var[t] += inc[t]
-        order = nxt
-        if rel < rel_tol:
-            break
+    mk = np.array([ylaw.moment(k) for k in range(TRUNCATION_CAP + 1)])
+    terms = mk * hermite_weighted_all(TRUNCATION_CAP, grid) ** 2  # rows t, columns k
+    starts = np.arange(1, TRUNCATION_CAP + 1, TRUNCATION_STEP)  # first degree of each step
+    ends = np.minimum(starts + TRUNCATION_STEP - 1, TRUNCATION_CAP)
+    inc = np.add.reduceat(terms, starts, axis=1)
+    var = np.cumsum(np.hstack([terms[:, :1], inc]), axis=1)[:, 1:]  # variance after each step
+    below = np.flatnonzero((inc / var).max(axis=0) < TRUNCATION_REL_TOL)
+    order = int(ends[below[0]] if below.size else ends[-1])
     return KappaSpec(ylaw, grid, order, _series_tail_bound(ylaw, order))
 
 
@@ -334,26 +332,13 @@ def kappa_sample(spec: KappaSpec, zetas: np.ndarray) -> np.ndarray:
     zetas = np.asarray(zetas, dtype=float)
     if zetas.shape != (spec.order + 1,):
         raise DomainError(f"need {spec.order + 1} normals, got shape {zetas.shape}")
-    m = spec.half_moments
-    out = np.empty(len(spec.grid))
-    for i, t in enumerate(spec.grid):
-        h = hermite_weighted_all(spec.order, t)
-        out[i] = exp(-0.5 * t * t) / sqrt(2.0 * pi) * float(np.dot(m * h, zetas))
-    return out
+    return spec.basis @ zetas
 
 
 def kappa_sample_split(spec: KappaSpec, zetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(even-order part, odd-order part) of kappa over the grid, same zetas."""
     zetas = np.asarray(zetas, dtype=float)
-    m = spec.half_moments
-    even = np.empty(len(spec.grid))
-    odd = np.empty(len(spec.grid))
-    for i, t in enumerate(spec.grid):
-        h = hermite_weighted_all(spec.order, t)
-        w = m * h * zetas
-        even[i] = exp(-0.5 * t * t) / sqrt(2.0 * pi) * float(w[0::2].sum())
-        odd[i] = exp(-0.5 * t * t) / sqrt(2.0 * pi) * float(w[1::2].sum())
-    return even, odd
+    return spec.basis[:, 0::2] @ zetas[0::2], spec.basis[:, 1::2] @ zetas[1::2]
 
 
 def bivariate_normal_density(t: float, s: float, rho: float) -> float:
@@ -380,8 +365,7 @@ def kappa_cov(ylaw: CorrelationMixture, t: float, s: float,
         return float(ylaw.expect(lambda y: bivariate_normal_density(t, s, y)))
     if method != "series":
         raise DomainError(f"unknown method {method!r}")
-    ht = hermite_weighted_all(order, t)
-    hs = hermite_weighted_all(order, s)
+    ht, hs = hermite_weighted_all(order, [t, s])
     mk = np.array([ylaw.moment(k) for k in range(order + 1)])
     return exp(-0.5 * (t * t + s * s)) / (2.0 * pi) * float(np.dot(mk, ht * hs))
 
@@ -398,8 +382,8 @@ def scaled_levelset_cov(N: int, gamma: float, t: float, s: float) -> float:
     if not (0 <= u <= N and 0 <= v <= N):
         raise DomainError(f"scaled index out of range: t={t}, s={s} at N={N}")
     w = GreenSpec(N, SingleFlip(), 1.0 - gamma / N).weights  # E[Y^k] at finite N
-    ru = krawtchouk_weighted_row(N, u)
-    rv = krawtchouk_weighted_row(N, v)
+    R = krawtchouk_weighted_matrix(N)
+    ru, rv = R[u], R[v]
     pref_u = sqrt(N) / 2.0 * exp(_log_binom(N, u) - N * log(2.0))
     pref_v = sqrt(N) / 2.0 * exp(_log_binom(N, v) - N * log(2.0))
     return pref_u * pref_v * float(np.dot(w, ru * rv))

@@ -9,9 +9,11 @@ They are self-dual, Q_k(w) = Q_w(k), and satisfy the generating function
 
     sum_k binom(N,k) Q_k(w) phi^k = (1 - phi)^w (1 + phi)^(N - w),
 
-which makes binom(N,k) Q_k(w) an integer.  Tables are exact up to
-``EXACT_N_LIMIT``; larger dimensions fall back to a stable three-term
-recurrence in floating point.
+which makes binom(N,k) Q_k(w) an integer.  The exact integer tables
+(``KrawtchoukBasis``, ``krawtchouk_eval`` up to ``EXACT_N_LIMIT``) are the
+references; floating-point consumers read whole (N+1) x (N+1) matrices,
+built once per dimension by a three-term recurrence over every argument at
+once (``krawtchouk_matrix``, ``krawtchouk_weighted_matrix``).
 
 Hermite polynomials H_k here are the probabilists' family,
 H_{k+1}(t) = t H_k(t) - k H_{k-1}(t), generated by e^{wt - w^2/2}.
@@ -66,13 +68,6 @@ class KrawtchoukBasis:
         self._check(k, w)
         return Fraction(self._by_w[w][k], comb(self.N, k))
 
-    def q_row(self, w: int) -> np.ndarray:
-        """Q_k(w) for k = 0..N as float64."""
-        self._check(0, w)
-        return np.array(
-            [self._by_w[w][k] / comb(self.N, k) for k in range(self.N + 1)]
-        )
-
     def _check(self, k, w):
         if not (0 <= k <= self.N and 0 <= w <= self.N):
             raise DomainError(
@@ -86,12 +81,6 @@ def _poly_mul(a, b):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return out
-
-
-@lru_cache(maxsize=8)
-def cached_basis(N: int) -> KrawtchoukBasis:
-    """Shared immutable basis table for dimension N."""
-    return KrawtchoukBasis(N)
 
 
 def krawtchouk_eval(k: int, w: int, N: int):
@@ -115,68 +104,67 @@ def binomial_pmf(N: int) -> np.ndarray:
     return np.exp(gammaln(N + 1) - gammaln(k + 1) - gammaln(N - k + 1) - N * log(2.0))
 
 
-def krawtchouk_column(N: int, w: int) -> np.ndarray:
-    """Q_k(w; N, 1/2) for k = 0..N: the exact table up to EXACT_N_LIMIT, the recurrence beyond."""
-    if N <= EXACT_N_LIMIT:
-        return cached_basis(N).q_row(w)
-    return krawtchouk_row(N, w)
-
-
 def krawtchouk_row(N: int, w: int, max_degree: int | None = None) -> np.ndarray:
-    """Q_k(w; N, 1/2) for k = 0..max_degree in floating point.
-
-    The raw degree recurrence (N-k) Q_{k+1} = (N-2w) Q_k - k Q_{k-1} loses
-    accuracy as k approaches N (division by N-k), so this evaluates via
-    self-duality Q_k(w) = Q_w(k): run the recurrence up the *small* index
-    after reflecting w -> N-w (Q_k(N-w) = (-1)^k Q_k(w)) so at most N/2
-    steps are ever taken, each dividing by at least N/2.
-    """
+    """Q_k(w; N, 1/2) for k = 0..max_degree in floating point: a read-only row
+    of krawtchouk_matrix(N)."""
     if not 0 <= w <= N:
         raise DomainError(f"argument must lie in [0, {N}], got {w}")
     K = N if max_degree is None else max_degree
     if not 0 <= K <= N:
         raise DomainError(f"degree must lie in [0, {N}], got {K}")
-    reflect = w > N // 2
-    w_eff = N - w if reflect else w
-    ks = np.arange(K + 1, dtype=float)
-    prev = np.ones(K + 1)
-    if w_eff == 0:
-        out = prev
-    else:
-        cur = 1.0 - 2.0 * ks / N
-        for j in range(1, w_eff):
-            prev, cur = cur, ((N - 2.0 * ks) * cur - j * prev) / (N - j)
-        out = cur
-    if reflect:
-        out = out * np.where(np.arange(K + 1) % 2 == 0, 1.0, -1.0)
-    return out
+    return krawtchouk_matrix(N)[w, :K + 1]
 
 
-def krawtchouk_weighted_row(N: int, w: int, max_degree: int | None = None,
-                            dtype=np.float64) -> np.ndarray:
-    """sqrt(binom(N,k)) * Q_k(w; N, 1/2) for k = 0..max_degree.
+@lru_cache(maxsize=8)
+def krawtchouk_matrix(N: int) -> np.ndarray:
+    """Q_k(w; N, 1/2) with rows w = 0..N and columns k = 0..N (read-only).
 
-    Uses the recurrence
+    The raw degree recurrence (N-k) Q_{k+1} = (N-2w) Q_k - k Q_{k-1} loses
+    accuracy as k approaches N (division by N-k), so this runs the recurrence
+    in the argument, valid by self-duality Q_k(w) = Q_w(k), for all degrees at
+    once up to w = N/2, each step dividing by at least N/2; the rows past N/2
+    are reflections, Q_k(N-w) = (-1)^k Q_k(w).
+    """
+    if N < 1:
+        raise DomainError(f"dimension must be >= 1, got {N}")
+    ks = np.arange(N + 1, dtype=float)
+    half = N // 2
+    Q = np.empty((N + 1, N + 1))
+    Q[0] = 1.0
+    if half >= 1:
+        Q[1] = 1.0 - 2.0 * ks / N
+    for j in range(1, half):
+        Q[j + 1] = ((N - 2.0 * ks) * Q[j] - j * Q[j - 1]) / (N - j)
+    Q[half + 1:] = Q[N - half - 1::-1] * np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
+    Q.flags.writeable = False
+    return Q
+
+
+@lru_cache(maxsize=8)
+def krawtchouk_weighted_matrix(N: int, dtype=np.float64) -> np.ndarray:
+    """sqrt(binom(N,k)) * Q_k(w; N, 1/2) with rows w = 0..N and columns k = 0..N
+    (read-only).
+
+    Uses the degree recurrence, for all arguments at once,
 
         r_{k+1} = [(N - 2w) r_k - sqrt(k (N-k+1)) r_{k-1}] / sqrt((k+1)(N-k)),
 
-    which keeps every intermediate O(1) near w ~ N/2 where the plain
-    product binom * Q would overflow for large N.
+    whose exact entries are at most sqrt(binom(N,k)), not binom(N,k).  It
+    is not stable in k for every w: at w = 0 it gives r_N = 5.8e102 for the
+    exact 1 at N = 400, and entries overflow past N ~ 1050.
     """
-    if not 0 <= w <= N:
-        raise DomainError(f"argument must lie in [0, {N}], got {w}")
-    K = N if max_degree is None else max_degree
-    if not 0 <= K <= N:
-        raise DomainError(f"degree must lie in [0, {N}], got {K}")
+    if N < 1:
+        raise DomainError(f"dimension must be >= 1, got {N}")
     one = dtype(1.0)
-    r = np.empty(K + 1, dtype=dtype)
-    r[0] = one
-    if K >= 1:
-        r[1] = (N - 2 * one * w) / np.sqrt(N * one)
-    for k in range(1, K):
-        r[k + 1] = ((N - 2 * one * w) * r[k]
-                    - np.sqrt(k * (N - k + one)) * r[k - 1]) / np.sqrt((k + one) * (N - k))
-    return r
+    a = N - 2 * one * np.arange(N + 1)
+    R = np.empty((N + 1, N + 1), dtype=dtype)  # R[k, w]
+    R[0] = one
+    R[1] = a / np.sqrt(N * one)
+    for k in range(1, N):
+        R[k + 1] = (a * R[k] - np.sqrt(k * (N - k + one)) * R[k - 1]) / np.sqrt((k + one) * (N - k))
+    out = np.ascontiguousarray(R.T)
+    out.flags.writeable = False
+    return out
 
 
 def hermite_all(max_degree: int, t: float) -> np.ndarray:
@@ -197,18 +185,20 @@ def hermite_eval(k: int, t: float) -> float:
     return float(hermite_all(k, t)[k])
 
 
-def hermite_weighted_all(max_degree: int, t: float) -> np.ndarray:
+def hermite_weighted_all(max_degree: int, t) -> np.ndarray:
     """H_k(t) / sqrt(k!) for k = 0..max_degree, overflow-free.
 
+    For an array of t the result has one row per t and one column per k.
     Recurrence h_{k+1} = (t h_k - sqrt(k) h_{k-1}) / sqrt(k+1); values stay
     bounded by ~1.1 e^{t^2/4} for all k.
     """
     if max_degree < 0:
         raise DomainError(f"degree must be >= 0, got {max_degree}")
-    h = np.empty(max_degree + 1)
+    t = np.asarray(t, dtype=float)
+    h = np.empty((max_degree + 1,) + t.shape)
     h[0] = 1.0
     if max_degree >= 1:
         h[1] = t
     for k in range(1, max_degree):
         h[k + 1] = (t * h[k] - sqrt(k) * h[k - 1]) / sqrt(k + 1)
-    return h
+    return np.ascontiguousarray(np.moveaxis(h, 0, -1))

@@ -14,14 +14,14 @@ whole tables are one Walsh-Hadamard transform of the coefficient vector.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, floor, log
+from math import comb, factorial, floor, inf, isfinite, log
 
 import numpy as np
 
 from . import increments
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, NumericError, ResourceLimitError
 from .increments import IncrementModel, increment_pmf, killing_gap, rho_by_size
-from .polynomials import binomial_pmf, krawtchouk_column
+from .polynomials import binomial_pmf, krawtchouk_matrix
 from .walsh import fwht, popcounts, subset_signs
 
 ORACLE_N_LIMIT = 12
@@ -74,6 +74,11 @@ class GreenSpec:
         """Binomial(N, 1/2) probabilities for k = 0..N."""
         return binomial_pmf(self.N)
 
+    @cached_property
+    def by_distance(self) -> np.ndarray:
+        """(1-alpha) G(x, y) at Hamming distance d = ||x XOR y|| = 0..N."""
+        return _distance_kernel(self.N, self.weights)
+
     def subset_table(self) -> np.ndarray:
         """(1 + c (1 - rho_A))^-1 for every subset bitmask A (2^N vector)."""
         if self.model.is_exchangeable:
@@ -103,11 +108,10 @@ def t_step_prob(model, N: int, t: int, x: int, y: int) -> float:
     """P(X_t = y | X_0 = x) from the spectral expansion with eigenvalues rho_A^t."""
     if t < 0:
         raise DomainError(f"step count must be >= 0, got {t}")
-    _check_vertex(x, N)
-    _check_vertex(y, N)
-    d = (x ^ y).bit_count()
+    check_vertex(x, N)
+    check_vertex(y, N)
     if model.is_exchangeable:
-        return float(np.dot(binomial_pmf(N) * krawtchouk_column(N, d), rho_by_size(model, N) ** t))
+        return float(_distance_kernel(N, rho_by_size(model, N) ** t)[(x ^ y).bit_count()])
     _check_enumerable(N)
     rho = increments.rho_all_subsets(model, N)
     return float(np.dot(rho ** t, subset_signs(x ^ y, N))) / (1 << N)
@@ -116,18 +120,17 @@ def t_step_prob(model, N: int, t: int, x: int, y: int) -> float:
 def green_spectral(spec: GreenSpec, x: int, y: int) -> float:
     """(1-alpha) G(x, y; alpha), the killed-endpoint probability.
 
-    Exchangeable models use the O(N) Krawtchouk form
+    Exchangeable models read spec.by_distance, the Krawtchouk form
 
         sum_k (1 + c(1-rho_k))^-1 Binom(N,1/2)(k) Q_k(d),  d = ||x XOR y||,
 
     written as an expectation over Binomial(N,1/2) so no term exceeds the
     binomial mass (stable for any N).
     """
-    _check_vertex(x, spec.N)
-    _check_vertex(y, spec.N)
+    check_vertex(x, spec.N)
+    check_vertex(y, spec.N)
     if spec.model.is_exchangeable:
-        d = (x ^ y).bit_count()
-        return float(np.dot(spec.binom_pmf * krawtchouk_column(spec.N, d), spec.weights))
+        return float(spec.by_distance[(x ^ y).bit_count()])
     _check_enumerable(spec.N)
     return float(np.dot(spec.subset_table(), subset_signs(x ^ y, spec.N))) / (1 << spec.N)
 
@@ -163,9 +166,15 @@ def green_hamming(spec: GreenSpec, u: int, v: int) -> float:
         raise DomainError("the Hamming kernel needs an exchangeable model")
     if not (0 <= u <= spec.N and 0 <= v <= spec.N):
         raise DomainError(f"levels must lie in [0, {spec.N}], got u={u}, v={v}")
-    qu, qv = krawtchouk_column(spec.N, u), krawtchouk_column(spec.N, v)
-    series = float(np.dot(spec.weights * spec.binom_pmf, qu * qv))
-    return comb(spec.N, v) * series
+    Q = krawtchouk_matrix(spec.N)
+    series = float(np.dot(spec.weights * spec.binom_pmf, Q[u] * Q[v]))
+    try:
+        value = comb(spec.N, v) * series
+    except OverflowError:  # binom(N, v) itself is past the float range
+        value = inf
+    if not isfinite(value):
+        raise NumericError(f"the Hamming kernel at N={spec.N}, v={v} is past the float range")
+    return value
 
 
 def sample_geometric_time(alpha: float, rng: np.random.Generator) -> int:
@@ -176,7 +185,7 @@ def sample_geometric_time(alpha: float, rng: np.random.Generator) -> int:
 
 def sample_killed_endpoint(spec: GreenSpec, x0: int, rng: np.random.Generator) -> int:
     """Run the walk for an independent geometric time and return the endpoint."""
-    _check_vertex(x0, spec.N)
+    check_vertex(x0, spec.N)
     x = x0
     for _ in range(sample_geometric_time(spec.alpha, rng)):
         x = step(x, spec.model, spec.N, rng)
@@ -200,12 +209,18 @@ def coupon_collector_prob(t: int, N: int) -> float:
     return float(Fraction(s2 * factorial(N), N ** t))
 
 
+def _distance_kernel(N: int, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs_k Binom(N,1/2)(k) Q_k(d) for every distance d = 0..N."""
+    return krawtchouk_matrix(N) @ (binomial_pmf(N) * coeffs)
+
+
 def _check_enumerable(N: int):
     if N > SPECTRAL_ENUMERATION_N_LIMIT:
         raise ResourceLimitError(
             f"subset enumeration is capped at N={SPECTRAL_ENUMERATION_N_LIMIT}, got {N}")
 
 
-def _check_vertex(x: int, N: int):
+def check_vertex(x: int, N: int):
+    """Raise DomainError unless x is a vertex of {0,1}^N."""
     if x < 0 or x >> N:
         raise DomainError(f"vertex {x:#x} is not within {{0,1}}^{N}")

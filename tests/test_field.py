@@ -1,3 +1,4 @@
+import copy
 from math import comb, sqrt
 
 import numpy as np
@@ -123,6 +124,37 @@ def test_cholesky_vs_spectral_two_sample(rng):
     gap = np.abs(spectral.T @ spectral / n - chol.T @ chol / n)
     frac = np.mean(gap <= 3 * se)
     assert frac >= 0.99, f"only {frac:.3f} of entries within 3 SE"
+
+
+def test_cholesky_wide_vertices_replay_pairwise_factor(rng):
+    # N = 200: the points are Python ints past 64 bits
+    spec = spec_of(200, inc.IIDBernoulli(0.3), 0.9)
+    base = (1 << 199) | (1 << 130) | (1 << 64) | 0b1011
+    points = [base] + [base ^ (1 << a) ^ (1 << b) for a, b in
+                       [(0, 70), (3, 150), (64, 199), (100, 101), (7, 8), (130, 190)]]
+    replay = copy.deepcopy(rng)
+    draw = fld.sample_field_cholesky(spec, points, rng)
+    cov = np.array([[walk.green_spectral(spec, x, y) for y in points] for x in points])
+    want = np.linalg.cholesky(cov) @ replay.standard_normal(len(points))
+    assert draw.points == tuple(points) and draw.provenance == "cholesky"
+    assert np.abs(draw.values - want).max() <= 1e-12
+
+
+def test_cholesky_markov_replay_oracle_factor(rng):
+    spec = spec_of(6, inc.MarkovEntries((0.3, 0.7), ((0.8, 0.2), (0.4, 0.6))), 0.7)
+    points = [0, 5, 17, 33, 40, 63, 9, 28]
+    replay = copy.deepcopy(rng)
+    draw = fld.sample_field_cholesky(spec, points, rng)
+    cov = walk.green_matrix_oracle(spec)[np.ix_(points, points)]
+    want = np.linalg.cholesky(cov) @ replay.standard_normal(len(points))
+    assert draw.provenance == "cholesky"
+    assert np.abs(draw.values - want).max() <= 1e-10
+
+
+@pytest.mark.parametrize("point", [16, -1])
+def test_cholesky_rejects_points_outside_cube(rng, point):
+    with pytest.raises(DomainError):
+        fld.sample_field_cholesky(spec_of(4, DEFINETTI, 0.5), [3, point], rng)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from cubefield import increments as inc
 from cubefield import limits as lm
 from cubefield import pointproc as pp
 from cubefield import walk
-from cubefield.errors import DomainError
+from cubefield.errors import DomainError, NumericError
 
 DEFINETTI = inc.DeFinettiDiscrete((0.2, 0.7), (0.6, 0.4))
 GRID = (-1.5, -0.75, 0.0, 0.75, 1.5)
@@ -93,6 +93,18 @@ def test_levelset_representation_rejects_markov():
     spec = walk.GreenSpec(3, inc.MarkovEntries((0.5, 0.5), ((0.7, 0.3), (0.2, 0.8))), 0.5)
     with pytest.raises(DomainError):
         lm.levelset_representation(spec, np.zeros(4))
+
+
+def test_levelset_representation_past_float_range_raises_numeric_error():
+    spec = walk.GreenSpec(1100, inc.SingleFlip(), 0.9)
+    with pytest.raises(NumericError):
+        lm.levelset_representation(spec, np.ones(1101))
+
+
+def test_levelset_cov_matrix_past_float_range_raises_numeric_error():
+    spec = walk.GreenSpec(1100, inc.SingleFlip(), 0.9)
+    with pytest.raises(NumericError):
+        lm.levelset_cov_matrix(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from cubefield.errors import DomainError
 from cubefield.polynomials import (KrawtchoukBasis, hermite_all, hermite_eval,
                                    hermite_weighted_all, krawtchouk_eval,
-                                   krawtchouk_row, krawtchouk_weighted_row)
+                                   krawtchouk_row, krawtchouk_weighted_matrix)
 from cubefield.walsh import fwht, popcounts
 
 
@@ -123,7 +123,7 @@ def test_weighted_row_matches_exact_table():
     N = 24
     basis = KrawtchoukBasis(N)
     for w in (0, 5, 12):
-        r = krawtchouk_weighted_row(N, w)
+        r = krawtchouk_weighted_matrix(N)[w]
         exact = np.array([np.sqrt(comb(N, k)) * float(basis.q(k, w)) for k in range(N + 1)])
         assert np.abs(r - exact).max() < 1e-9
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import assert_within_3se
 from cubefield import increments as inc
 from cubefield import walk
-from cubefield.errors import DomainError, ResourceLimitError
+from cubefield.errors import DomainError, NumericError, ResourceLimitError
 
 MODELS = {
     "single-flip": inc.SingleFlip(),
@@ -126,6 +126,13 @@ def test_green_hamming_aggregation():
 def test_green_hamming_bernoulli_half_origin():
     spec = walk.GreenSpec(6, inc.IIDBernoulli(0.5), 0.4)
     assert walk.green_hamming(spec, 0, 0) == pytest.approx(0.6 + 0.4 / 64, abs=1e-13)
+
+
+def test_green_hamming_past_float_range_raises_numeric_error():
+    # binom(1100, 550) ~ 1e329 does not fit in a float
+    spec = walk.GreenSpec(1100, inc.SingleFlip(), 0.9)
+    with pytest.raises(NumericError):
+        walk.green_hamming(spec, 0, 550)
 
 
 def test_green_hamming_rejects_markov():
