@@ -148,12 +148,16 @@ def cmd_sample_field(args) -> int:
         return 0
     noise = field.SpectralNoise.draw(args.N, replicate_rng(args.seed, 0))
     sample = field.sample_field_spectral(spec, noise)
-    rows = [(format(x, f"0{args.N}b"), float(v)) for x, v in enumerate(sample.values)]
+    values = sample.values.tolist()
     if args.format == "json":
         _write_json(args.out, {"header": ["x_bits", "value"],
-                               "rows": [list(r) for r in rows]})
+                               "rows": [[format(x, f"0{args.N}b"), v]
+                                        for x, v in enumerate(values)]})
     else:
-        _write_csv(args.out, ["x_bits", "value"], rows)
+        # the same bytes as csv.writer: no field here needs quoting
+        with open(args.out, "w", newline="") as fh:
+            fh.write("x_bits,value\r\n")
+            fh.writelines(f"{x:0{args.N}b},{v!r}\r\n" for x, v in enumerate(values))
     return 0
 
 

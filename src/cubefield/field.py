@@ -22,7 +22,7 @@ from . import increments
 from .errors import DomainError, NumericError, ResourceLimitError
 from .walk import (GreenSpec, SPECTRAL_ENUMERATION_N_LIMIT, check_vertex, green_matrix_oracle,
                    green_xor_table, transition_matrix)
-from .walsh import bit_positions, fwht, iter_submasks, popcounts
+from .walsh import _fwht_inplace, bit_positions, iter_submasks, popcounts
 
 CHOLESKY_POINT_LIMIT = 4096
 DENSITY_CHECK_N_LIMIT = 8
@@ -71,16 +71,22 @@ def sample_field_spectral(spec: GreenSpec, noise: SpectralNoise) -> FieldSample:
     if spec.N > SPECTRAL_ENUMERATION_N_LIMIT:
         raise ResourceLimitError(
             f"full-cube sampling is capped at N={SPECTRAL_ENUMERATION_N_LIMIT}, got {spec.N}")
-    scaled = np.sqrt(spec.subset_table()) * noise.values
-    return FieldSample(spec.N, fwht(scaled) * 2.0 ** (-spec.N / 2.0))
+    values = np.sqrt(spec.subset_table())
+    values *= noise.values
+    _fwht_inplace(values)
+    values *= 2.0 ** (-spec.N / 2.0)
+    return FieldSample(spec.N, values)
 
 
 def sample_field_spectral_batch(spec: GreenSpec, rng: np.random.Generator,
                                 replicates: int) -> np.ndarray:
     """(replicates, 2^N) array of independent full-cube fields; the MC workhorse."""
     coef = np.sqrt(spec.subset_table())
-    noise = rng.standard_normal((replicates, 1 << spec.N))
-    return fwht(noise * coef) * 2.0 ** (-spec.N / 2.0)
+    fields = rng.standard_normal((replicates, 1 << spec.N))
+    fields *= coef
+    _fwht_inplace(fields)
+    fields *= 2.0 ** (-spec.N / 2.0)
+    return fields
 
 
 def sample_field_cholesky(spec: GreenSpec, points, rng: np.random.Generator) -> FieldSample:
@@ -96,12 +102,19 @@ def sample_field_cholesky(spec: GreenSpec, points, rng: np.random.Generator) -> 
         raise DomainError(f"point count must be in [1, {CHOLESKY_POINT_LIMIT}], got {m}")
     for x in points:
         check_vertex(x, spec.N)
-    # Python ints: past N = 64 the vertices do not fit a machine word
-    xor = [[x ^ y for y in points] for x in points]
+    # past N = 64 a vertex does not fit one machine word: split each into words
+    n_words = -(-spec.N // 64)
+    words = np.frombuffer(b"".join(x.to_bytes(8 * n_words, "little") for x in points),
+                          dtype="<u8").reshape(m, n_words)
     if spec.model.is_exchangeable:
-        cov = spec.by_distance[np.array([[d.bit_count() for d in row] for row in xor])]
+        dist = np.zeros((m, m), dtype=np.intp)
+        for col in words.T:
+            dist += np.bitwise_count(col[:, None] ^ col[None, :])
+        cov = spec.by_distance[dist]
     else:
-        cov = green_xor_table(spec)[np.array(xor)]
+        # enumerable models have N <= 24, so the single word's XOR is the table index
+        col = words[:, 0]
+        cov = green_xor_table(spec)[col[:, None] ^ col[None, :]]
     provenance = "cholesky"
     try:
         factor = np.linalg.cholesky(cov)
@@ -142,7 +155,8 @@ def spin_sum_all_vertices(k: int, noise: SpectralNoise) -> np.ndarray:
     if not 0 <= k <= noise.N:
         raise DomainError(f"order must lie in [0, {noise.N}], got {k}")
     masked = np.where(popcounts(noise.N) == k, noise.values, 0.0)
-    return fwht(masked)
+    _fwht_inplace(masked)
+    return masked
 
 
 def centered_field(sample: FieldSample) -> FieldSample:

@@ -403,11 +403,15 @@ class MarkovEntries(IncrementModel):
 
     def rho_all_subsets(self, N):
         T = np.array(self.transition)
-        states = np.array([self.initial])  # row A -> mass vector over {0,1}
-        states = np.vstack([states, states * (1.0, -1.0)])
-        for _ in range(1, N):
-            stepped = states @ T
-            states = np.vstack([stepped, stepped * (1.0, -1.0)])
+        states = np.empty((1 << N, 2))  # row A -> mass vector over {0,1}
+        states[0] = self.initial
+        np.multiply(states[:1], (1.0, -1.0), out=states[1:2])
+        for r in range(1, N):
+            # the subsets of positions 1..r step to position r+1; their copies
+            # with position r+1 in the subset fill the next 2^r rows
+            done = states[:1 << r]
+            np.matmul(done, T, out=done)
+            np.multiply(done, (1.0, -1.0), out=states[1 << r:2 << r])
         return states.sum(axis=1)
 
     def pmf(self, N):

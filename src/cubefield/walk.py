@@ -22,7 +22,7 @@ from . import increments
 from .errors import DomainError, NumericError, ResourceLimitError
 from .increments import IncrementModel, increment_pmf, killing_gap, rho_by_size
 from .polynomials import binomial_pmf, krawtchouk_matrix
-from .walsh import fwht, popcounts, subset_signs
+from .walsh import _fwht_inplace, popcounts, subset_signs
 
 ORACLE_N_LIMIT = 12
 SPECTRAL_ENUMERATION_N_LIMIT = 24
@@ -138,7 +138,10 @@ def green_spectral(spec: GreenSpec, x: int, y: int) -> float:
 def green_xor_table(spec: GreenSpec) -> np.ndarray:
     """(1-alpha) G(x, y) for every displacement d = x XOR y, via one fast transform."""
     _check_enumerable(spec.N)
-    return fwht(spec.subset_table()) / (1 << spec.N)
+    table = spec.subset_table()
+    _fwht_inplace(table)
+    table /= 1 << spec.N
+    return table
 
 
 def green_matrix_spectral(spec: GreenSpec) -> np.ndarray:

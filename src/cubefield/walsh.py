@@ -15,22 +15,37 @@ def fwht(values: np.ndarray) -> np.ndarray:
     """Fast Walsh-Hadamard transform along the last axis, O(N * 2^N).
 
     Returns W with W[..., x] = sum_z (-1)^popcount(x & z) * values[..., z].
-    The transform matrix is symmetric and W(W(v)) = 2^N * v.
+    The transform matrix is symmetric and W(W(v)) = 2^N * v.  The input is
+    never written: the butterflies run on a float64 copy.
     """
     a = np.array(values, dtype=np.float64, copy=True)
+    _fwht_inplace(a)
+    return a
+
+
+def _fwht_inplace(a: np.ndarray) -> None:
+    """fwht of a C-contiguous float64 array, overwriting it.
+
+    Radix-2 butterflies at strides h = 1, 2, 4, ...; each stage saves the top
+    halves in one half-length scratch buffer, so every output is the same
+    add or subtract of the same two floats as an out-of-place stage.
+    """
     n = a.shape[-1]
     if n == 0 or (n & (n - 1)) != 0:
         raise DomainError(f"transform length must be a power of two, got {n}")
-    lead = a.shape[:-1]
-    a = a.reshape(-1, n)
+    if a.dtype != np.float64 or not a.flags.c_contiguous:
+        raise ValueError("in-place transform needs a C-contiguous float64 array")
+    rows = a.size // n
+    scratch = np.empty(a.size // 2)
     h = 1
     while h < n:
-        b = a.reshape(-1, n // (2 * h), 2, h)
-        top = b[:, :, 0, :] + b[:, :, 1, :]
-        bot = b[:, :, 0, :] - b[:, :, 1, :]
-        a = np.stack((top, bot), axis=2).reshape(-1, n)
+        b = a.reshape(rows, n // (2 * h), 2, h)
+        top, bot = b[:, :, 0, :], b[:, :, 1, :]
+        t = scratch.reshape(rows, n // (2 * h), h)
+        np.copyto(t, top)
+        np.add(t, bot, out=top)
+        np.subtract(t, bot, out=bot)
         h *= 2
-    return a.reshape(lead + (n,))
 
 
 def popcounts(n_bits: int) -> np.ndarray:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cubefield import cli
+from cubefield import cli, field, walk
 
 
 def run(argv):
@@ -93,6 +93,34 @@ def test_sample_field_values_csv(tmp_path):
     assert header == ["x_bits", "value"]
     assert len(rows) == 8
     assert all(len(r[0]) == 3 for r in rows)
+
+
+def write_rows_with_csv_writer(path, header, rows):
+    """The generic CSV writer: csv.writer rows with repr floats."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+
+
+@pytest.mark.parametrize("model_args, N", [(["--model", "single-flip"], 3),
+                                           (["--model", "iid-bernoulli", "--p", "0.3"], 10)])
+def test_sample_field_files_match_generic_writers(tmp_path, model_args, N):
+    seed, alpha = 7, 0.6
+    args = ["sample", "field", *model_args, "--N", str(N), "--alpha", str(alpha),
+            "--seed", str(seed)]
+    assert run([*args, "--out", str(tmp_path / "field.csv")]) == 0
+    assert run([*args, "--format", "json", "--out", str(tmp_path / "field.json")]) == 0
+    model = cli._model_from_args(cli.build_parser().parse_args(args + ["--out", "-"]))
+    noise = field.SpectralNoise.draw(N, cli.replicate_rng(seed, 0))
+    values = field.sample_field_spectral(walk.GreenSpec(N, model, alpha), noise).values
+    rows = [(format(x, f"0{N}b"), float(v)) for x, v in enumerate(values)]
+    write_rows_with_csv_writer(tmp_path / "want.csv", ["x_bits", "value"], rows)
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    report = json.loads((tmp_path / "field.json").read_text())
+    assert report == {"header": ["x_bits", "value"], "rows": [list(r) for r in rows],
+                      "schema_version": 1}
 
 
 def test_sample_kappa_grid(tmp_path):

@@ -9,7 +9,7 @@ from cubefield import field as fld
 from cubefield import increments as inc
 from cubefield import walk
 from cubefield.errors import DomainError
-from cubefield.walsh import popcounts
+from cubefield.walsh import fwht, popcounts
 
 DEFINETTI = inc.DeFinettiDiscrete((0.2, 0.7), (0.6, 0.4))
 
@@ -155,6 +155,59 @@ def test_cholesky_markov_replay_oracle_factor(rng):
 def test_cholesky_rejects_points_outside_cube(rng, point):
     with pytest.raises(DomainError):
         fld.sample_field_cholesky(spec_of(4, DEFINETTI, 0.5), [3, point], rng)
+
+
+MARKOV = inc.MarkovEntries((0.3, 0.7), ((0.8, 0.2), (0.4, 0.6)))
+WORD_EDGES = [0, (1 << 129) - 1, 1 << 63, 1 << 64, (1 << 64) - 1, 1 << 128,
+              ((1 << 129) - 1) ^ (1 << 64), 5]
+
+
+@pytest.mark.parametrize("N, model, points",
+                         [(129, inc.IIDBernoulli(0.3), WORD_EDGES),
+                          (300, inc.IIDBernoulli(0.3), [0, (1 << 300) - 1, 1 << 299, 7]),
+                          (7, MARKOV, [0, 127, 64, 63, 5, 96, 33, 18])],
+                         ids=["iid-three-words", "iid-distance-300", "markov"])
+def test_cholesky_covariance_equals_python_int_distances(rng, N, model, points):
+    # the draw must equal the one built from Python-int XORs, bit for bit,
+    # also for vertices that straddle the 64-bit word boundaries
+    spec = spec_of(N, model, 0.8)
+    replay = copy.deepcopy(rng)
+    draw = fld.sample_field_cholesky(spec, points, rng)
+    xor = [[x ^ y for y in points] for x in points]
+    if model.is_exchangeable:
+        cov = spec.by_distance[np.array([[d.bit_count() for d in row] for row in xor])]
+    else:
+        cov = walk.green_xor_table(spec)[np.array(xor)]
+    want = np.linalg.cholesky(cov) @ replay.standard_normal(len(points))
+    assert draw.provenance == "cholesky"
+    assert np.array_equal(draw.values, want)
+
+
+# ---------------------------------------------------------------------------
+# the full-cube transforms write only arrays they allocate
+
+
+@pytest.mark.parametrize("model", [MARKOV, inc.IIDBernoulli(0.3)], ids=["markov", "iid"])
+def test_full_cube_routes_leave_inputs_and_tables_unwritten(rng, model):
+    spec = spec_of(8, model, 0.7)
+    noise = fld.SpectralNoise.draw(8, rng)
+    before = noise.values.copy()
+    first = fld.sample_field_spectral(spec, noise)
+    second = fld.sample_field_spectral(spec, noise)
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(noise.values, before)
+    assert np.array_equal(walk.green_xor_table(spec), walk.green_xor_table(spec))
+
+
+def test_fwht_leaves_field_and_noise_unwritten(rng):
+    noise = fld.SpectralNoise.draw(6, rng)
+    sample = fld.sample_field_spectral(spec_of(6, DEFINETTI), noise)
+    kept = sample.values.copy()
+    back = fwht(sample.values)
+    assert np.array_equal(sample.values, kept)
+    assert not np.shares_memory(back, sample.values)
+    assert not noise.values.flags.writeable
+    assert np.array_equal(fwht(noise.values), fwht(noise.values.copy()))
 
 
 # ---------------------------------------------------------------------------

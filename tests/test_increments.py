@@ -100,6 +100,27 @@ def test_rho_all_subsets_consistency():
             assert isclose(table[subset], inc.rho_subset(model, subset, N), abs_tol=1e-13)
 
 
+def stacked_markov_rho(model, N):
+    """The doubling pass that stacks a fresh (2^r, 2) array every round."""
+    T = np.array(model.transition)
+    states = np.array([model.initial])
+    states = np.vstack([states, states * (1.0, -1.0)])
+    for _ in range(1, N):
+        stepped = states @ T
+        states = np.vstack([stepped, stepped * (1.0, -1.0)])
+    return states.sum(axis=1)
+
+
+def test_markov_rho_all_subsets_equals_stacked_pass():
+    model = inc.MarkovEntries((0.3, 0.7), ((0.8, 0.2), (0.4, 0.6)))
+    for N in range(1, 13):
+        table = inc.rho_all_subsets(model, N)
+        assert table.shape == (1 << N,)
+        assert np.array_equal(table, stacked_markov_rho(model, N))
+        for subset in range(1 << N):
+            assert abs(table[subset] - inc.rho_subset(model, subset, N)) <= 1e-12
+
+
 def test_frozen_examples():
     assert inc.rho_subset(inc.SingleFlip(), 0b0011, 4) == 0.0          # 1 - 2*2/4
     assert inc.rho_subset(inc.IIDBernoulli(0.5), 0b0110, 4) == 0.0

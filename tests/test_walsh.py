@@ -7,6 +7,22 @@ from cubefield.errors import DomainError
 from cubefield.walsh import bit_positions, fwht, iter_submasks, popcounts, subset_signs
 
 
+def stacked_fwht(values):
+    """The out-of-place transform: each stage stacks fresh top and bottom halves."""
+    a = np.array(values, dtype=np.float64, copy=True)
+    n = a.shape[-1]
+    lead = a.shape[:-1]
+    a = a.reshape(-1, n)
+    h = 1
+    while h < n:
+        b = a.reshape(-1, n // (2 * h), 2, h)
+        top = b[:, :, 0, :] + b[:, :, 1, :]
+        bot = b[:, :, 0, :] - b[:, :, 1, :]
+        a = np.stack((top, bot), axis=2).reshape(-1, n)
+        h *= 2
+    return a.reshape(lead + (n,))
+
+
 def naive_transform(values):
     """O(4^N) sign-matrix oracle."""
     n = len(values)
@@ -46,6 +62,30 @@ def test_batch_matches_rows(rng):
     assert out.shape == batch.shape
     for i in range(7):
         assert np.array_equal(out[i], fwht(batch[i]))
+
+
+@pytest.mark.parametrize("shape", [(1 << k,) for k in range(13)] + [(7, 64)])
+def test_in_place_butterflies_equal_stacked_stages(rng, shape):
+    v = rng.standard_normal(shape)
+    assert np.array_equal(fwht(v), stacked_fwht(v))
+
+
+def test_input_is_not_written(rng):
+    for v in (rng.standard_normal(256), rng.standard_normal((5, 32))):
+        before = v.copy()
+        fwht(v)
+        assert np.array_equal(v, before)
+
+
+def test_read_only_and_integer_inputs():
+    frozen = np.arange(16.0)
+    frozen.flags.writeable = False
+    assert np.array_equal(fwht(frozen), stacked_fwht(frozen))
+    ints = np.arange(16) - 5
+    out = fwht(ints)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, stacked_fwht(ints))
+    assert np.array_equal(ints, np.arange(16) - 5)
 
 
 def test_rejects_bad_length():
