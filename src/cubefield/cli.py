@@ -85,22 +85,29 @@ def cmd_green(args) -> int:
     model = _model_from_args(args)
     spec = walk.GreenSpec(args.N, model, args.alpha)
     table = walk.green_xor_table(spec)
-    idx = np.arange(1 << args.N)
-    rows = [(int(x), int(y), float(table[x ^ y])) for x in idx for y in idx]
+    n = 1 << args.N
+    values = table.tolist()
     if args.format == "json":
         _write_json(args.out, {"header": ["x", "y", "value"],
-                               "rows": [list(r) for r in rows]})
+                               "rows": [[x, y, values[x ^ y]]
+                                        for x in range(n) for y in range(n)]})
     else:
-        _write_csv(args.out, ["x", "y", "value"], rows)
+        # the same bytes as csv.writer: no field here needs quoting
+        reps = [repr(v) for v in values]
+        with open(args.out, "w", newline="") as fh:
+            fh.write("x,y,value\r\n")
+            for x in range(n):
+                fh.writelines(f"{x},{y},{reps[x ^ y]}\r\n" for y in range(n))
     summary = {
         "command": "green",
         "model_spec": increments.model_to_dict(model),
         "N": args.N,
         "alpha": args.alpha,
-        "rows": len(rows),
+        "rows": n * n,
     }
     if args.N <= walk.ORACLE_N_LIMIT:
         oracle = walk.green_matrix_oracle(spec)
+        idx = np.arange(n)
         spectral = table[np.bitwise_xor.outer(idx, idx)]
         summary["oracle_max_discrepancy"] = float(np.max(np.abs(spectral - oracle)))
     if args.summary:
@@ -109,6 +116,10 @@ def cmd_green(args) -> int:
 
 
 def cmd_sample_field(args) -> int:
+    if args.replicates > 1 and not args.verify:
+        print("error: --replicates needs --verify; a plain draw writes one field",
+              file=sys.stderr)
+        return USAGE_EXIT
     model = _model_from_args(args)
     spec = walk.GreenSpec(args.N, model, args.alpha)
     n = 1 << args.N

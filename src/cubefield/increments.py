@@ -197,7 +197,8 @@ class DeFinettiBeta(_DeFinetti):
 
     def pmf(self, N):
         pc = popcounts(N)
-        return np.exp(betaln(self.a + pc, self.b + N - pc) - betaln(self.a, self.b))
+        a, b = float(self.a), float(self.b)  # integer shapes would add in uint8
+        return np.exp(betaln(a + pc, b + N - pc) - betaln(a, b))
 
     def omega(self, rng):
         return float(rng.beta(self.a, self.b))

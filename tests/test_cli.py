@@ -123,6 +123,34 @@ def test_sample_field_files_match_generic_writers(tmp_path, model_args, N):
                       "schema_version": 1}
 
 
+@pytest.mark.parametrize("model_args, N", [(["--model", "single-flip"], 3),
+                                           (["--model", "iid-bernoulli", "--p", "0.3"], 6)])
+def test_green_files_match_generic_writers(tmp_path, model_args, N):
+    alpha = 0.6
+    args = ["green", *model_args, "--N", str(N), "--alpha", str(alpha)]
+    assert run([*args, "--out", str(tmp_path / "green.csv"),
+                "--summary", str(tmp_path / "summary.json")]) == 0
+    assert run([*args, "--format", "json", "--out", str(tmp_path / "green.json")]) == 0
+    model = cli._model_from_args(cli.build_parser().parse_args(args + ["--out", "-"]))
+    table = walk.green_xor_table(walk.GreenSpec(N, model, alpha))
+    rows = [(x, y, float(table[x ^ y])) for x in range(1 << N) for y in range(1 << N)]
+    write_rows_with_csv_writer(tmp_path / "want.csv", ["x", "y", "value"], rows)
+    assert (tmp_path / "green.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    report = json.loads((tmp_path / "green.json").read_text())
+    assert report == {"header": ["x", "y", "value"], "rows": [list(r) for r in rows],
+                      "schema_version": 1}
+    assert json.loads((tmp_path / "summary.json").read_text())["rows"] == 4 ** N
+
+
+def test_sample_field_replicates_without_verify_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "field.csv"
+    code = run(["sample", "field", "--model", "single-flip", "--N", "3",
+                "--alpha", "0.5", "--replicates", "2", "--out", str(out)])
+    assert code == 2
+    assert "--verify" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_kappa_grid(tmp_path):
     out = tmp_path / "kappa.csv"
     code = run(["sample", "kappa", "--gamma", "2", "--grid", "-2:2:0.25",

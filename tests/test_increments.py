@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import betaln
 
 from conftest import assert_within_3se, mean_and_se
 from cubefield import increments as inc
@@ -149,12 +150,19 @@ def test_markov_with_equal_rows_is_iid():
 def test_beta_moment_matches_quadrature():
     a, b = 1.7, 3.2
     model = inc.DeFinettiBeta(a, b)
-    from scipy.special import betaln
     norm = np.exp(betaln(a, b))
     for k in (1, 2, 5, 12, 25, 31, 40):  # spans the expansion and Jacobi branches
         ref = quad(lambda w: (1 - 2 * w) ** k * w ** (a - 1) * (1 - w) ** (b - 1) / norm,
                    0, 1, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
         assert inc.rho_k(model, k) == pytest.approx(ref, abs=1e-10)
+
+
+def test_beta_pmf_with_integer_shapes():
+    # popcounts are uint8; integer shapes past 255 must not add in uint8
+    for a, b in ((2, 3), (300, 2), (2, 300)):
+        want = [np.exp(betaln(a + k, b + 4 - k) - betaln(a, b))
+                for k in (bin(z).count("1") for z in range(16))]
+        assert np.array_equal(inc.DeFinettiBeta(a, b).pmf(4), want)
 
 
 def test_symmetric_beta_spin_moments():

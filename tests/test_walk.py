@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -246,3 +248,17 @@ def test_exchangeable_green_large_dimension():
     spec = walk.GreenSpec(200, inc.IIDBernoulli(0.5), 0.3)
     assert walk.green_spectral(spec, 0, 0) == pytest.approx(0.7 + 0.3 * 2.0 ** -200,
                                                             abs=1e-13)
+
+
+def test_subset_table_peak_memory():
+    # the size index is one byte per subset: the peak is the float64 result
+    # plus the 2^N uint8 popcounts, not a second 2^N 8-byte array
+    spec = walk.GreenSpec(20, inc.IIDBernoulli(0.3), 0.9)
+    spec.weights  # cached before tracing: only the table's own work is measured
+    tracemalloc.start()
+    try:
+        table = spec.subset_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.nbytes + (1 << 20) + (1 << 19)

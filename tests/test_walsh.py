@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,10 +66,34 @@ def test_batch_matches_rows(rng):
         assert np.array_equal(out[i], fwht(batch[i]))
 
 
-@pytest.mark.parametrize("shape", [(1 << k,) for k in range(13)] + [(7, 64)])
+# rows up to 2^18 and batches on both sides of the 2^15-entry cache block:
+# lengths past 2^15 reach the column-slab pass, short rows share a block
+@pytest.mark.parametrize("shape", (
+    [(1 << k,) for k in range(13)] + [(7, 64)] + [(1 << k,) for k in range(13, 19)]
+    + [(4001, 1024), (20000, 64), (3, 1 << 16), (5, 1 << 17), (2, 3, 1 << 15),
+       (1, 1), (5, 2)]))
 def test_in_place_butterflies_equal_stacked_stages(rng, shape):
     v = rng.standard_normal(shape)
     assert np.array_equal(fwht(v), stacked_fwht(v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=17),
+       st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_blocked_butterflies_equal_stacked_stages_sweep(rows, k, seed):
+    v = np.random.default_rng(seed).standard_normal((rows, 1 << k))
+    assert np.array_equal(fwht(v), stacked_fwht(v))
+
+
+def test_fwht_peak_memory_is_one_copy(rng):
+    v = rng.standard_normal(1 << 20)
+    tracemalloc.start()
+    try:
+        fwht(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= v.nbytes + (1 << 20)
 
 
 def test_input_is_not_written(rng):
@@ -94,7 +120,10 @@ def test_rejects_bad_length():
 
 
 def test_popcounts_small():
+    assert popcounts(0).tolist() == [0]
     assert popcounts(3).tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
+    assert popcounts(3).dtype == np.uint8
+    assert np.array_equal(popcounts(12), [bin(a).count("1") for a in range(1 << 12)])
 
 
 def test_subset_signs_definition():
