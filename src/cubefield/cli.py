@@ -235,8 +235,8 @@ def cmd_limits(args) -> int:
     spec = limits.build_kappa_spec(ylaw, grid)
     rng = replicate_rng(args.seed, 0)
     zetas = rng.standard_normal(spec.order + 1)
-    inversion = {repr(float(t)): limits.inversion_check(spec, zetas, float(t))
-                 for t in args.inversion_t}
+    residuals = limits.inversion_check(spec, zetas, args.inversion_t)
+    inversion = {repr(float(t)): float(r) for t, r in zip(args.inversion_t, residuals)}
     lhs, rhs = limits.parseval_check(ylaw)
     tcov_rows = []
     for th in grid:

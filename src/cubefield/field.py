@@ -71,7 +71,8 @@ def sample_field_spectral(spec: GreenSpec, noise: SpectralNoise) -> FieldSample:
     if spec.N > SPECTRAL_ENUMERATION_N_LIMIT:
         raise ResourceLimitError(
             f"full-cube sampling is capped at N={SPECTRAL_ENUMERATION_N_LIMIT}, got {spec.N}")
-    values = np.sqrt(spec.subset_table())
+    values = spec.subset_table()
+    np.sqrt(values, out=values)
     values *= noise.values
     _fwht_inplace(values)
     values *= 2.0 ** (-spec.N / 2.0)
@@ -81,7 +82,8 @@ def sample_field_spectral(spec: GreenSpec, noise: SpectralNoise) -> FieldSample:
 def sample_field_spectral_batch(spec: GreenSpec, rng: np.random.Generator,
                                 replicates: int) -> np.ndarray:
     """(replicates, 2^N) array of independent full-cube fields; the MC workhorse."""
-    coef = np.sqrt(spec.subset_table())
+    coef = spec.subset_table()
+    np.sqrt(coef, out=coef)
     fields = rng.standard_normal((replicates, 1 << spec.N))
     fields *= coef
     _fwht_inplace(fields)

@@ -431,46 +431,31 @@ def transform_cov(ylaw: CorrelationMixture, theta: float, phi: float) -> Transfo
 def transform_weight_matrices(spec: KappaSpec, thetas) -> tuple[np.ndarray, np.ndarray]:
     """Series weights of (U_theta, V_theta) for a whole theta grid at once.
 
-    From the termwise transform of the kappa series: the weight on zeta_j is
-    e^{-theta^2/2} m_j (i theta)^j / sqrt(j!); splitting j = 2k and j = 2k+1
-    and pulling out Poisson(k; theta^2/2) leaves an extra sqrt(k!) beside the
-    double-factorial normalizers:
-
-        u_k = Poisson(k; theta^2/2) sqrt(k!) m_{2k} (-sqrt2)^k / sqrt((2k-1+d_k0)!!)
-        v_k = theta Poisson(k; theta^2/2) sqrt(k!) m_{2k+1} (-sqrt2)^k / sqrt((2k+1)!!).
-
-    Rows are theta values, columns k.  Assembled in log space; the double
-    factorials overflow near k = 150 otherwise.
+    The weight on zeta_j is w_j = e^{-theta^2/2} m_j (i theta)^j / sqrt(j!):
+    U holds the real even-j weights (column k for zeta_{2k}), V the imaginary
+    odd-j ones (zeta_{2k+1}); rows are theta values.  The moduli are one exp
+    of the log-modulus j log|theta| - log(j!)/2 - theta^2/2, so no factor
+    over- or underflows on its own; the signs go on afterwards, and theta = 0
+    is set exactly to U = (m_0, 0, ...), V = 0.
     """
     from scipy.special import gammaln
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if not np.all(np.isfinite(thetas)):
+        raise DomainError("transform weights need finite theta values")
     m = spec.half_moments
+    j = np.concatenate([np.arange(0, spec.order + 1, 2), np.arange(1, spec.order + 1, 2)])
     n_even = (spec.order + 2) // 2
-    n_odd = (spec.order + 1) // 2
-    lam = 0.5 * thetas * thetas
-    log2 = log(2.0)
-
-    def _log_weight(n_cols, dfact_log):
-        k = np.arange(n_cols, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            core = np.where(lam[:, None] > 0.0,
-                            k[None, :] * np.log(np.where(lam > 0, lam, 1.0))[:, None],
-                            np.where(k[None, :] == 0.0, 0.0, -np.inf))
-        log_pois = -lam[:, None] + core - gammaln(k + 1)[None, :]
-        return log_pois + 0.5 * gammaln(k + 1)[None, :] - 0.5 * dfact_log[None, :] \
-            + 0.5 * k[None, :] * log2
-
-    k_even = np.arange(n_even, dtype=float)
-    dfact_even = gammaln(2 * k_even + 1) - k_even * log2 - gammaln(k_even + 1)
-    signs_even = np.where(np.arange(n_even) % 2 == 0, 1.0, -1.0)
-    U = np.exp(_log_weight(n_even, dfact_even)) * signs_even[None, :] * m[0::2][None, :]
-
-    k_odd = np.arange(n_odd, dtype=float)
-    dfact_odd = gammaln(2 * k_odd + 2) - k_odd * log2 - gammaln(k_odd + 1)
-    signs_odd = np.where(np.arange(n_odd) % 2 == 0, 1.0, -1.0)
-    V = thetas[:, None] * np.exp(_log_weight(n_odd, dfact_odd)) \
-        * signs_odd[None, :] * m[1::2][None, :]
-    return U, V
+    size = np.abs(thetas)
+    zero = size == 0.0
+    W = np.multiply.outer(np.log(np.where(zero, 1.0, size)), j)
+    W -= 0.5 * gammaln(j + 1.0)
+    W -= (0.5 * thetas * thetas)[:, None]
+    np.exp(W, out=W)
+    W *= np.where(j // 2 % 2 == 0, 1.0, -1.0) * m[j]
+    W[thetas < 0.0, n_even:] *= -1.0
+    W[zero] = 0.0
+    W[zero, 0] = m[0]
+    return W[:, :n_even], W[:, n_even:]
 
 
 def transform_weights(spec: KappaSpec, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -499,23 +484,34 @@ def transform_sample_batch(spec: KappaSpec, zetas: np.ndarray,
     return zetas[:, 0::2] @ u, zetas[:, 1::2] @ v
 
 
-def inversion_check(spec: KappaSpec, zetas: np.ndarray, t: float,
-                    theta_max: float | None = None, nodes: int = 8192) -> float:
+def inversion_check(spec: KappaSpec, zetas: np.ndarray, t,
+                    theta_max: float | None = None, nodes: int = 8192) -> float | np.ndarray:
     """|(1/2pi) integral e^{-i theta t} kappa_hat_theta dtheta  -  kappa_t|.
 
-    kappa_hat = U + iV comes from the same zetas as kappa_t.  The theta
-    window must cover the highest retained order (the k-th basis function
-    peaks near theta = sqrt(k)), so it defaults to sqrt(2 order) + 8.
+    kappa_hat = U + iV comes from the same zetas as kappa_t.  U is even in
+    theta and V odd, so the integral is (1/pi) times the trapezoid rule for
+    U cos(theta t) + V sin(theta t) on nodes // 2 + 1 points of
+    [0, theta_max].  One transform serves every t: a float t gives a float,
+    a 1-D sequence an array.  The window must cover the highest retained
+    order (the k-th basis function peaks near theta = sqrt(k)), so
+    theta_max defaults to sqrt(2 order) + 8.
     """
-    if theta_max is None:
-        theta_max = sqrt(2.0 * spec.order) + 8.0
-    thetas = np.linspace(-theta_max, theta_max, nodes)
+    if nodes < 2:
+        raise DomainError(f"the inversion needs at least 2 nodes, got {nodes}")
+    theta_max = sqrt(2.0 * spec.order) + 8.0 if theta_max is None else theta_max
+    if not (np.isfinite(theta_max) and theta_max > 0.0):
+        raise DomainError(f"theta_max must be finite and positive, got {theta_max}")
+    ts = np.asarray(t, dtype=float)
+    grid = np.atleast_1d(ts)
+    thetas = np.linspace(0.0, theta_max, nodes // 2 + 1)
     U, V = transform_sample(spec, zetas, thetas)
-    integrand = np.exp(-1j * thetas * t) * (U + 1j * V)
-    integral = np.trapezoid(integrand, thetas) / (2.0 * pi)
-    target_spec = KappaSpec(spec.ylaw, (t,), spec.order, spec.tail_bound)
-    target = kappa_sample(target_spec, zetas)[0]
-    return float(abs(integral - target))
+    phase = np.multiply.outer(grid, thetas)
+    integral = np.trapezoid(np.cos(phase) * U + np.sin(phase) * V, thetas) / pi
+    basis = KappaSpec(spec.ylaw, tuple(grid.tolist()), spec.order, spec.tail_bound).basis
+    # row sums rather than a BLAS product, so each residual is the same float
+    # whichever other t share the call
+    residuals = np.abs(integral - (basis * zetas).sum(axis=1))
+    return float(residuals[0]) if ts.ndim == 0 else residuals
 
 
 def parseval_check(ylaw: CorrelationMixture) -> tuple[float, float]:

@@ -210,6 +210,14 @@ def test_limits_report(tmp_path):
         assert float(u_part) + float(v_part) == pytest.approx(float(full), abs=1e-12)
 
 
+def test_limits_without_inversion_points(tmp_path):
+    out = tmp_path / "limits.json"
+    code = run(["limits", "--fixed-y", "0.5", "--grid", "-1:1:1", "--inversion-t",
+                "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["inversion_residuals"] == {}
+
+
 @pytest.mark.parametrize("argv_builder", [
     lambda d: ["green", "--model", "definetti-discrete", "--atoms", "0.2,0.7",
                "--weights", "0.6,0.4", "--N", "3", "--alpha", "0.5",

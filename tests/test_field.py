@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 from math import comb, sqrt
 
 import numpy as np
@@ -197,6 +198,22 @@ def test_full_cube_routes_leave_inputs_and_tables_unwritten(rng, model):
     assert np.array_equal(first.values, second.values)
     assert np.array_equal(noise.values, before)
     assert np.array_equal(walk.green_xor_table(spec), walk.green_xor_table(spec))
+
+
+def test_spectral_sampler_peak_is_the_subset_table():
+    # the square root is taken in the table's own array: no second 2^N array
+    spec = spec_of(20, inc.IIDBernoulli(0.3), 0.9)
+    spec.weights  # cached before tracing, as in the table's own peak below
+    noise = fld.SpectralNoise.draw(20, np.random.default_rng(0))
+    peaks = []
+    for route in (spec.subset_table, lambda: fld.sample_field_spectral(spec, noise)):
+        tracemalloc.start()
+        try:
+            route()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + (1 << 20)
 
 
 def test_fwht_leaves_field_and_noise_unwritten(rng):

@@ -304,6 +304,73 @@ def test_inversion_residuals(rng):
     assert lm.inversion_check(spec2, np.zeros(spec2.order + 1), 0.5) == 0.0
 
 
+def test_transform_weights_match_mpmath():
+    # the weight on zeta_j is e^{-theta^2/2} m_j (i theta)^j / sqrt(j!); at
+    # theta = sqrt(1024) + 8 the factor e^{-theta^2/2} alone underflows
+    mpmath = pytest.importorskip("mpmath")
+    gamma, order = 2.0, 512
+    spec = lm.KappaSpec(lm.VanishingKillingY(gamma), (0.0,), order, 0.0)
+    big = sqrt(1024.0) + 8.0
+    thetas = [0.0, 1e-3, -1e-3, 1.0, -1.0, 7.3, -7.3, big, -big]
+    U, V = lm.transform_weight_matrices(spec, thetas)
+    assert U.shape == (len(thetas), order // 2 + 1) and V.shape == (len(thetas), order // 2)
+    with mpmath.workdps(40):
+        for row, theta in enumerate(thetas):
+            th = mpmath.mpf(theta)
+            envelope = mpmath.exp(-th * th / 2)
+            for j in range(order + 1):
+                m_j = mpmath.sqrt(1 / (1 + mpmath.mpf(2 * j) / gamma))
+                w = envelope * m_j * mpmath.mpc(0, th) ** j / mpmath.sqrt(mpmath.factorial(j))
+                exact = float(w.real) if j % 2 == 0 else float(w.imag)
+                got = U[row, j // 2] if j % 2 == 0 else V[row, j // 2]
+                if abs(exact) > 1e-290:
+                    assert got == pytest.approx(exact, rel=1e-12), (theta, j)
+                else:
+                    assert abs(got) <= 1e-280, (theta, j)
+
+
+def test_transform_weights_parity_exact():
+    spec = lm.build_kappa_spec(lm.VanishingKillingY(2.0), GRID)
+    thetas = np.array([1e-3, 0.5, 1.0, 7.3, 40.0])
+    U, V = lm.transform_weight_matrices(spec, thetas)
+    U_neg, V_neg = lm.transform_weight_matrices(spec, -thetas)
+    assert np.array_equal(U_neg, U)
+    assert np.array_equal(V_neg, -V)
+    U0, V0 = lm.transform_weight_matrices(spec, [0.0])
+    assert U0[0, 0] == 1.0 and not U0[0, 1:].any() and not V0.any()
+
+
+@pytest.mark.parametrize("theta", [float("inf"), float("-inf"), float("nan")])
+def test_transform_weights_reject_non_finite_theta(theta):
+    spec = lm.KappaSpec(lm.VanishingKillingY(2.0), (0.0,), 8, 0.0)
+    with pytest.raises(DomainError):
+        lm.transform_weight_matrices(spec, [1.0, theta])
+
+
+def test_inversion_check_takes_every_t_at_once(rng):
+    spec = lm.build_kappa_spec(lm.VanishingKillingY(2.0), GRID)
+    zetas = rng.standard_normal(spec.order + 1)
+    ts = [0.0, 1.0, -1.0, 0.3, 2.5]
+    one = lm.inversion_check(spec, zetas, 0.3)
+    assert type(one) is float
+    many = lm.inversion_check(spec, zetas, ts)
+    assert isinstance(many, np.ndarray) and many.shape == (len(ts),)
+    assert np.array_equal(many, [lm.inversion_check(spec, zetas, t) for t in ts])
+    assert lm.inversion_check(spec, zetas, []).shape == (0,)
+
+
+@pytest.mark.parametrize("window", [dict(nodes=0), dict(nodes=1), dict(theta_max=-1.0),
+                                    dict(theta_max=0.0), dict(theta_max=float("inf")),
+                                    dict(theta_max=float("nan"))],
+                         ids=["nodes=0", "nodes=1", "theta_max=-1", "theta_max=0",
+                              "theta_max=inf", "theta_max=nan"])
+def test_inversion_check_rejects_degenerate_window(rng, window):
+    spec = lm.build_kappa_spec(lm.VanishingKillingY(2.0), GRID)
+    zetas = rng.standard_normal(spec.order + 1)
+    with pytest.raises(DomainError):
+        lm.inversion_check(spec, zetas, 0.5, **window)
+
+
 def test_parseval_pairs():
     lhs, rhs = lm.parseval_check(lm.FixedCorrelation(0.0))
     assert lhs == pytest.approx(sqrt(pi), abs=1e-9)
