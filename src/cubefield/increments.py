@@ -9,10 +9,10 @@ and the killed-walk gap b_A = c (1 - rho_A) with c = alpha/(1-alpha).
 Exchangeable laws have rho_A depending on |A| only.  The Limit* variants
 describe N -> infinity regimes and carry only b_A.
 
-Each law is a small frozen dataclass carrying its own rho, pmf, sampler
-and gap; the de Finetti laws are also their own spin measure.  Every
-operation is pure given an explicit numpy Generator, so instances are safe
-to share across threads.
+Each law is a small frozen dataclass carrying its own rho, pmf, samplers
+(one step, and the XOR of T steps) and gap; the de Finetti laws are also
+their own spin measure.  Every operation is pure given an explicit numpy
+Generator, so instances are safe to share across threads.
 """
 
 from dataclasses import dataclass, fields
@@ -30,6 +30,11 @@ from .walsh import popcounts
 # exact-degree Gauss-Jacobi takes over
 _BINOMIAL_EXPANSION_MAX_K = 10
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
+# once |Y| <= 2^-54, 1 - Y rounds to 1 and so does every further product
+# with spins in [-1, 1]: the flip probability 0.5 (1 - Y) is final
+_Y_SETTLED = 2.0 ** -54
+# spin draws per chunk of a product: doubling from the first to the last size
+_FIRST_CHUNK, _LAST_CHUNK = 64, 4096
 
 
 def killing_gap(c, rho):
@@ -49,6 +54,17 @@ class IncrementModel:
     is_definetti = False
     is_exchangeable = True
     depends_on_dimension = False  # the law of a single entry changes with N
+
+    def sample_displacement(self, N: int, steps: int, rng: np.random.Generator) -> int:
+        """The XOR of `steps` i.i.d. increments as an N-bit mask.
+
+        This default draws them one by one; laws with a closed-form sum
+        override it.
+        """
+        mask = 0
+        for _ in range(steps):
+            mask ^= self.sample_Z(N, rng)
+        return mask
 
     def rho_subset(self, subset: int, N: int) -> float:
         return rho_k(self, int(subset).bit_count(), N)
@@ -73,10 +89,46 @@ class _DeFinetti(IncrementModel):
 
     def sample_Z(self, N: int, rng: np.random.Generator) -> int:
         omega = self.omega(rng)
-        mask = 0
-        for pos in np.flatnonzero(rng.random(N) < omega):
-            mask |= 1 << int(pos)
-        return mask
+        return _mask(rng.random(N) < omega)
+
+    def sample_displacement(self, N: int, steps: int, rng: np.random.Generator) -> int:
+        """The XOR of `steps` i.i.d. increments, in one draw.
+
+        Given the spins xi_t = 1 - 2 omega_t, a coordinate flips an odd number
+        of times with probability (1 - Y)/2, Y = prod_t xi_t, independently of
+        the others: draw Y, then N Bernoulli((1 - Y)/2) flips.
+
+        Rounding: given the drawn spins, the float 0.5 (1 - Y) is off the
+        exact flip probability by some e, and the uniform comparator resolves
+        2^-53, so the endpoint law is within N (e + 2^-53) of the exact one
+        in total variation.  Measured against 200-bit arithmetic, 10^4 draws
+        per law at alpha = 0.3 ... 1 - 1e-7: e <= 1.03 * 2^-53 for twelve
+        point-mass laws of one to four atoms (pow products); e <= 0.94 *
+        2^-53 for DeFinettiBeta(2, 3), DeFinettiBeta(0.5, 0.5) and
+        SymmetricBetaSpin(2, 1) (chunked np.prod), rising to 4.9 * 2^-53
+        for DeFinettiBeta(0.05, 50) and 3.0 * 2^-53 for
+        SymmetricBetaSpin(50, 0.5), whose spins sit near +-1: a product of
+        n spins carries a relative error up to n 2^-53, and such laws
+        multiply many spins before |Y| falls.
+        """
+        flip = 0.5 * (1.0 - self._product(steps, rng))
+        return _mask(rng.random(N) < flip)
+
+    def _product(self, steps: int, rng: np.random.Generator) -> float:
+        """Y = the product of `steps` i.i.d. spins, or a stand-in of the same
+        flip probability once |Y| <= 2^-54.
+
+        Spins are drawn in chunks of 64, 128, ... up to 4096, and the draws
+        stop once the flip probability is settled, so cost and memory stay
+        bounded at any alpha.
+        """
+        y, size = 1.0, _FIRST_CHUNK
+        while steps > 0 and abs(y) > _Y_SETTLED:
+            size = min(size, steps)
+            y *= float(np.prod(self.sample(rng, size=size)))
+            steps -= size
+            size = min(2 * size, _LAST_CHUNK)
+        return y
 
     def moment(self, k: int) -> float:
         """E[xi^k] = rho_k."""
@@ -126,6 +178,14 @@ class _PointMasses(_DeFinetti):
     def sample(self, rng, size=None):
         points, weights = zip(*self._spins)
         return rng.choice(points, p=weights, size=size)
+
+    def _product(self, steps, rng):
+        """Y = prod_a xi_a^(n_a) with n ~ Multinomial(steps, weights): cost independent of steps."""
+        y = 1.0
+        for (x, _), n in zip(self._spins, rng.multinomial(steps, self.weights).tolist()):
+            # the sign from the integer count: float(n) loses the parity past 2^53
+            y *= (-1.0 if x < 0 and n & 1 else 1.0) * abs(x) ** n
+        return y
 
     def _no_zero_atom(self, theta):
         if theta > 0 and self.has_atom_at_zero():
@@ -310,6 +370,14 @@ class SingleFlip(_DimensionDependent):
     def sample_Z(self, N, rng):
         return 1 << int(rng.integers(N))
 
+    def sample_displacement(self, N, steps, rng):
+        """The sites hit an odd number of times among `steps` uniform draws.
+
+        No float flip probability enters: the parity of Multinomial(steps,
+        1/N each) counts.
+        """
+        return _mask(rng.multinomial(steps, np.full(N, 1.0 / N)) & 1)
+
 
 @dataclass(frozen=True)
 class MFlip(_DimensionDependent):
@@ -363,6 +431,10 @@ class RandomSiteHalf(_DimensionDependent):
 
     def sample_Z(self, N, rng):
         return int(rng.integers(2)) << int(rng.integers(N))
+
+    def sample_displacement(self, N, steps, rng):
+        """Each step is a SingleFlip step with probability 1/2: thin, then flip."""
+        return SingleFlip().sample_displacement(N, int(rng.binomial(steps, 0.5)), rng)
 
 
 @dataclass(frozen=True)
@@ -488,6 +560,11 @@ class LimitPoissonDirichlet(_Limit):
         from .limits import MomentOnlyY
         return MomentOnlyY(lambda k: 1.0 / (1.0 + self.gap(k)),
                            label=f"Poisson-Dirichlet limit, kappa = {self.kappa}")
+
+
+def _mask(bits: np.ndarray) -> int:
+    """The integer whose bit j is set where bits[j] is nonzero."""
+    return int.from_bytes(np.packbits(bits, bitorder="little"), "little")
 
 
 def is_exchangeable(model) -> bool:

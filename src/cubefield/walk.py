@@ -9,6 +9,13 @@ and the killed-endpoint law from x is the row x of
 
 with c = alpha/(1-alpha).  Everything here is a function of d = x XOR y, so
 whole tables are one Walsh-Hadamard transform of the coefficient vector.
+
+The endpoint is sampled without walking.  For a de Finetti law, given the
+spins xi_t = 1 - 2 omega_t of the T steps, the coordinates of X_T XOR X_0
+are independent Bernoulli((1 - Y)/2) with Y = prod_{t<T} xi_t, which is the
+point-process identity (1-alpha) G(x, y) = E[((1-Y)/2)^d ((1+Y)/2)^(N-d)]
+(see pointproc).  SingleFlip and RandomSiteHalf flip the sites hit an odd
+number of times.  MFlip and MarkovEntries still step the walk T times.
 """
 
 from dataclasses import dataclass
@@ -187,12 +194,17 @@ def sample_geometric_time(alpha: float, rng: np.random.Generator) -> int:
 
 
 def sample_killed_endpoint(spec: GreenSpec, x0: int, rng: np.random.Generator) -> int:
-    """Run the walk for an independent geometric time and return the endpoint."""
+    """X_T from x0: an independent geometric time T, then the XOR of T increments.
+
+    The model draws that XOR (`sample_displacement`).  De Finetti laws draw
+    the product Y of T spins and flip each coordinate with probability
+    (1 - Y)/2; SingleFlip and RandomSiteHalf take the parity of multinomial
+    site counts; neither does work per step.  MFlip and MarkovEntries still
+    step the walk T times.
+    """
     check_vertex(x0, spec.N)
-    x = x0
-    for _ in range(sample_geometric_time(spec.alpha, rng)):
-        x = step(x, spec.model, spec.N, rng)
-    return x
+    steps = sample_geometric_time(spec.alpha, rng)
+    return x0 ^ spec.model.sample_displacement(spec.N, steps, rng)
 
 
 def coupon_collector_prob(t: int, N: int) -> float:
