@@ -24,7 +24,6 @@ from math import comb, exp, lgamma, log, pi, sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad as _scipy_quad
 
 from .errors import DomainError, NumericError
 from .field import FieldSample
@@ -42,11 +41,14 @@ def quad(fn, lo, hi, **opts):
 
     The endpoint-singular mixture integrands trip QAGS's roundoff warning
     while still returning ~1e-13 accuracy; correctness is asserted by the
-    test suite on values, not warnings.
+    test suite on values, not warnings.  scipy.integrate is imported here,
+    on first use: it loads ~290 more modules that the full-cube and
+    Krawtchouk routes never need.
     """
+    from scipy.integrate import IntegrationWarning, quad as scipy_quad
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        return _scipy_quad(fn, lo, hi, **opts)
+        return scipy_quad(fn, lo, hi, **opts)
 
 TRUNCATION_STEP = 8
 TRUNCATION_REL_TOL = 1e-10

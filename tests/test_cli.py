@@ -1,8 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import cubefield
 from cubefield import cli, field, walk
 
 
@@ -242,3 +248,26 @@ def test_repeat_runs_are_byte_identical(tmp_path, argv_builder):
         f1, f2 = d1 / name, d2 / name
         if f1.exists():
             assert f1.read_bytes() == f2.read_bytes(), name
+
+
+def test_quadrature_modules_load_on_first_use(tmp_path):
+    # a fresh interpreter: the import and the full-cube commands never integrate
+    script = textwrap.dedent("""
+        import math, sys
+        import cubefield
+        from cubefield import cli, limits
+        assert "scipy.integrate" not in sys.modules
+        assert cli.main(["green", "--model", "definetti-beta", "--a", "2", "--b", "3",
+                         "--N", "4", "--alpha", "0.6", "--out", "green.csv"]) == 0
+        assert cli.main(["sample", "field", "--model", "iid-bernoulli", "--p", "0.3",
+                         "--N", "5", "--alpha", "0.6", "--out", "field.csv"]) == 0
+        assert "scipy.integrate" not in sys.modules
+        cov = limits.kappa_cov(limits.VanishingKillingY(2.0), 0.5, -0.5, method="mixture")
+        assert math.isfinite(cov) and cov > 0
+        assert "scipy.integrate" in sys.modules
+    """)
+    src = str(Path(cubefield.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

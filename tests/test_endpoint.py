@@ -88,6 +88,27 @@ def test_displacement_matches_step_loop(name, steps):
     assert sf > 1e-6, f"two-sample p-value {sf}"
 
 
+def _site_parity_draw(N, steps, rng):
+    """The sites hit an odd number of times, from an N-cell multinomial at every step count."""
+    counts = rng.multinomial(steps, np.full(N, 1.0 / N))
+    return sum(1 << j for j in np.flatnonzero(counts & 1).tolist())
+
+
+@pytest.mark.parametrize("name", ["single-flip", "random-site-half"])
+def test_single_site_zero_steps_leave_the_stream(name):
+    # T = 0 returns 0 without a multinomial; the draws and the generator
+    # state match the route that always draws one
+    N, model = 50, LAWS[name]
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    for steps in [0, 3, 0, 0, 1, 7, 0, 2] * 50:
+        if name == "random-site-half":
+            want = _site_parity_draw(N, int(theirs.binomial(steps, 0.5)), theirs)
+        else:
+            want = _site_parity_draw(N, steps, theirs)
+        assert model.sample_displacement(N, steps, ours) == want
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 @pytest.mark.parametrize("alpha", [0.6, 0.999])
 @pytest.mark.parametrize("model", [inc.IIDBernoulli(0.3), inc.DeFinettiBeta(2.0, 3.0)],
                          ids=["iid-bernoulli", "definetti-beta"])

@@ -1,5 +1,7 @@
+import time
+from fractions import Fraction
 from itertools import combinations
-from math import comb, isclose
+from math import comb, isclose, lcm
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from scipy.special import betaln
 
 from conftest import assert_within_3se, mean_and_se
 from cubefield import increments as inc
+from cubefield import walk
 from cubefield.errors import DomainError
 from cubefield.polynomials import krawtchouk_eval
 
@@ -151,10 +154,69 @@ def test_beta_moment_matches_quadrature():
     a, b = 1.7, 3.2
     model = inc.DeFinettiBeta(a, b)
     norm = np.exp(betaln(a, b))
-    for k in (1, 2, 5, 12, 25, 31, 40):  # spans the expansion and Jacobi branches
+    # the moment recurrence at low and high order, against the density integral
+    for k in (1, 2, 5, 12, 25, 31, 40, 100, 200, 399, 400):
         ref = quad(lambda w: (1 - 2 * w) ** k * w ** (a - 1) * (1 - w) ** (b - 1) / norm,
                    0, 1, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
         assert inc.rho_k(model, k) == pytest.approx(ref, abs=1e-10)
+
+
+def exact_beta_spin_moments(a, b, kmax):
+    """E[(1-2w)^k] for k <= kmax, w ~ Beta(a, b), from the binomial sums
+    sum_j binom(k,j) (-2)^j E[w^j] in exact rationals, rounded once.
+
+    With a = A/D and b = B/D, every E[w^j] = prod_{i<j} (A+iD)/(A+B+iD),
+    j <= kmax, is an integer over den = prod_{i<kmax} (A+B+iD); the binomial
+    sums for all k come from repeated pairwise sums of the terms.
+    """
+    fa, fb = Fraction(a), Fraction(b)
+    D = lcm(fa.denominator, fb.denominator)
+    A, B = int(fa * D), int(fb * D)
+    head = [1]  # prod_{i<j} (A+iD)
+    for i in range(kmax):
+        head.append(head[-1] * (A + i * D))
+    tail = [1]  # prod_{j<=i<kmax} (A+B+iD), built from j = kmax down
+    for i in range(kmax - 1, -1, -1):
+        tail.append(tail[-1] * (A + B + i * D))
+    tail.reverse()
+    row = [(-2) ** j * head[j] * tail[j] for j in range(kmax + 1)]
+    sums = []
+    for _ in range(kmax + 1):
+        sums.append(row[0])
+        row = [x + y for x, y in zip(row, row[1:])]
+    return [s / tail[0] for s in sums]  # int / int rounds correctly
+
+
+@pytest.mark.parametrize("a, b", [(2, 3), (0.5, 0.5), (0.05, 50), (50, 0.05), (7, 1.5),
+                                  (0.3, 2), (100, 100)])
+def test_beta_moments_match_exact_binomial_sums(a, b):
+    model = inc.DeFinettiBeta(a, b)
+    for k, want in enumerate(exact_beta_spin_moments(a, b, 400)):
+        assert inc.rho_k(model, k) == pytest.approx(want, rel=1e-14, abs=0.0), k
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0, 100.0])
+def test_beta_odd_moments_vanish_for_symmetric_shapes(a):
+    model = inc.DeFinettiBeta(a, a)
+    assert all(inc.rho_k(model, k) == 0.0 for k in range(1, 402, 2))
+
+
+def test_beta_moment_does_not_depend_on_call_order():
+    model = inc.DeFinettiBeta(1.3, 0.7)
+    inc._beta_spin_moments.cache_clear()
+    small_first = inc.rho_k(model, 5)
+    inc.rho_k(model, 300)
+    inc._beta_spin_moments.cache_clear()
+    inc.rho_k(model, 300)
+    assert inc.rho_k(model, 5) == small_first
+
+
+def test_beta_spectrum_at_large_dimension_is_fast():
+    inc._beta_spin_moments.cache_clear()
+    start = time.perf_counter()
+    rho = walk.GreenSpec(1000, inc.DeFinettiBeta(2.5, 3.0), 0.9).rho
+    assert time.perf_counter() - start < 0.1
+    assert rho.shape == (1001,) and np.all(np.abs(rho) <= 1.0)
 
 
 def test_beta_pmf_with_integer_shapes():
@@ -171,6 +233,12 @@ def test_symmetric_beta_spin_moments():
     assert inc.rho_k(model, 3) == 0.0
     # |xi| ~ Beta(2,1): E[xi^2] = 2/4 * ... = (2*3)/(3*4) = 1/2
     assert inc.rho_k(model, 2) == pytest.approx(0.5, abs=1e-14)
+    # the cached table is the running product, float for float
+    for a, b in ((2.0, 1.0), (0.3, 7.5)):
+        model, val = inc.SymmetricBetaSpin(a, b), 1.0
+        for k in range(401):
+            assert inc.rho_k(model, k) == (0.0 if k % 2 else val)
+            val *= (a + k) / (a + b + k)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +306,14 @@ def test_sample_Z_definetti_mc(rng):
     spins = 1.0 - 2.0 * draws
     est, se = mean_and_se(spins)
     assert_within_3se(est, inc.rho_k(model, 1, 5), se, "single-site spin mean")
+
+
+def test_discrete_omega_is_generator_choice():
+    model = inc.DeFinettiDiscrete((0.2, 0.5, 0.9, 0.0), (0.5, 0.2, 0.3, 0.0))
+    ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(20_000):
+        assert model.omega(ours) == float(theirs.choice(model.atoms, p=model.weights))
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_sample_Z_markov_mc(rng):
