@@ -20,8 +20,8 @@ import numpy as np
 
 from . import increments
 from .errors import DomainError, NumericError, ResourceLimitError
-from .walk import (GreenSpec, SPECTRAL_ENUMERATION_N_LIMIT, check_vertex, green_matrix_oracle,
-                   green_xor_table, transition_matrix)
+from .increments import SPECTRAL_ENUMERATION_N_LIMIT
+from .walk import GreenSpec, check_vertex, green_matrix_oracle, green_xor_table, transition_matrix
 from .walsh import _fwht_inplace, bit_positions, iter_submasks, popcounts
 
 CHOLESKY_POINT_LIMIT = 4096

@@ -22,16 +22,20 @@ from math import comb, exp, fsum, isclose, log
 import numpy as np
 from scipy.special import betainc, betaln, gammaln, roots_jacobi
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .polynomials import krawtchouk_eval
 from .walsh import popcounts
 
+# the largest N whose 2^N subsets are enumerated: one float64 table is 128 MiB
+SPECTRAL_ENUMERATION_N_LIMIT = 24
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 # once |Y| <= 2^-54, 1 - Y rounds to 1 and so does every further product
 # with spins in [-1, 1]: the flip probability 0.5 (1 - Y) is final
 _Y_SETTLED = 2.0 ** -54
 # spin draws per chunk of a product: doubling from the first to the last size
 _FIRST_CHUNK, _LAST_CHUNK = 64, 4096
+# columns per Markov doubling step: two planes of 2^15 float64 are 512 KiB
+_MARKOV_CHUNK = 1 << 15
 
 
 def killing_gap(c, rho):
@@ -484,17 +488,45 @@ class MarkovEntries(IncrementModel):
         return float(v.sum())
 
     def rho_all_subsets(self, N):
-        T = np.array(self.transition)
-        states = np.empty((1 << N, 2))  # row A -> mass vector over {0,1}
-        states[0] = self.initial
-        np.multiply(states[:1], (1.0, -1.0), out=states[1:2])
+        """rho_A for every subset, by a doubling pass inside the 2^N result.
+
+        The result, viewed as two planes of 2^(N-1) columns, holds the mass
+        vector over {0,1} of each subset of positions 1..N-1: plane j is the
+        mass on state j.  Round r steps the 2^r subsets of positions 1..r to
+        position r+1 and copies them, negating plane 1, into the next 2^r
+        columns (position r+1 in the subset).  The last round sums the two
+        planes straight into the result: v0 + v1 without position N, v0 - v1
+        with it.  Each round steps its columns in chunks through one
+        512 KiB buffer with `matmul`, whose rounding an elementwise 2x2 step
+        does not reproduce, so the peak is the result plus that buffer.
+        """
+        if N == 0:
+            return np.ones(1)
+        if N == 1:
+            i0, i1 = self.initial
+            return np.array([i0 + i1, i0 - i1])
+        Tt = np.ascontiguousarray(np.array(self.transition).T)
+        out = np.empty(1 << N)
+        half = 1 << (N - 1)
+        planes = out.reshape(2, half)
+        planes[:, 0] = self.initial
+        planes[0, 1] = self.initial[0]
+        planes[1, 1] = -self.initial[1]
+        step = np.empty((2, min(half, _MARKOV_CHUNK)))
         for r in range(1, N):
-            # the subsets of positions 1..r step to position r+1; their copies
-            # with position r+1 in the subset fill the next 2^r rows
-            done = states[:1 << r]
-            np.matmul(done, T, out=done)
-            np.multiply(done, (1.0, -1.0), out=states[1 << r:2 << r])
-        return states.sum(axis=1)
+            done = 1 << r
+            for lo in range(0, done, _MARKOV_CHUNK):
+                hi = min(lo + _MARKOV_CHUNK, done)
+                t = step[:, :hi - lo]
+                np.matmul(Tt, planes[:, lo:hi], out=t)
+                if done < half:
+                    planes[:, lo:hi] = t
+                    planes[0, done + lo:done + hi] = t[0]
+                    np.negative(t[1], out=planes[1, done + lo:done + hi])
+                else:  # last round: v0 + v1 and v0 - v1 over the stepped columns
+                    np.add(t[0], t[1], out=planes[0, lo:hi])
+                    np.subtract(t[0], t[1], out=planes[1, lo:hi])
+        return out
 
     def pmf(self, N):
         # pmf over prefixes, doubling one position per round; bit p-1 = position p
@@ -630,10 +662,24 @@ def rho_subset(model, subset: int, N: int) -> float:
 def rho_all_subsets(model, N: int) -> np.ndarray:
     """rho_A for every subset bitmask of [N] as a 2^N vector.
 
-    Exchangeable laws reduce to a popcount lookup; MarkovEntries uses a
-    doubling pass that appends one chain position per round, O(N 2^N).
+    Exchangeable laws reduce to a popcount lookup.  MarkovEntries runs a
+    doubling pass that appends one chain position per round; round r steps
+    2^r subsets, so the pass is O(2^N).  It works on two planes (the mass on
+    each state) inside the 2^N result and peaks at the result plus 512 KiB.
+    N is capped at SPECTRAL_ENUMERATION_N_LIMIT, checked before anything
+    is allocated.
     """
+    if N < 0:
+        raise DomainError(f"dimension must be >= 0, got {N}")
+    check_enumerable(N)
     return model.rho_all_subsets(N)
+
+
+def check_enumerable(N: int):
+    """Raise ResourceLimitError if the 2^N subsets of [N] are past the enumeration cap."""
+    if N > SPECTRAL_ENUMERATION_N_LIMIT:
+        raise ResourceLimitError(
+            f"subset enumeration is capped at N={SPECTRAL_ENUMERATION_N_LIMIT}, got {N}")
 
 
 def b_subset(model, subset: int, N: int | None, alpha: float | None) -> float:

@@ -27,12 +27,11 @@ import numpy as np
 
 from . import increments
 from .errors import DomainError, NumericError, ResourceLimitError
-from .increments import IncrementModel, increment_pmf, killing_gap, rho_by_size
+from .increments import IncrementModel, check_enumerable, increment_pmf, killing_gap, rho_by_size
 from .polynomials import binomial_pmf, krawtchouk_matrix
-from .walsh import _fwht_inplace, popcounts, subset_signs
+from .walsh import _fwht_inplace, popcounts, signed_sum
 
 ORACLE_N_LIMIT = 12
-SPECTRAL_ENUMERATION_N_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -88,10 +87,16 @@ class GreenSpec:
 
     def subset_table(self) -> np.ndarray:
         """(1 + c (1 - rho_A))^-1 for every subset bitmask A (2^N vector)."""
+        check_enumerable(self.N)
         if self.model.is_exchangeable:
             return self.weights[popcounts(self.N)]
-        rho = increments.rho_all_subsets(self.model, self.N)
-        return 1.0 / (1.0 + killing_gap(self.c, rho))
+        # 1 / (1 + c (1 - rho)) in the eigenvalue table's own array
+        table = increments.rho_all_subsets(self.model, self.N)
+        np.subtract(1.0, table, out=table)
+        table *= self.c
+        table += 1.0
+        np.divide(1.0, table, out=table)
+        return table
 
 
 def step(x: int, model, N: int, rng: np.random.Generator) -> int:
@@ -119,9 +124,9 @@ def t_step_prob(model, N: int, t: int, x: int, y: int) -> float:
     check_vertex(y, N)
     if model.is_exchangeable:
         return float(_distance_kernel(N, rho_by_size(model, N) ** t)[(x ^ y).bit_count()])
-    _check_enumerable(N)
     rho = increments.rho_all_subsets(model, N)
-    return float(np.dot(rho ** t, subset_signs(x ^ y, N))) / (1 << N)
+    rho **= t
+    return signed_sum(rho, x ^ y) / (1 << N)
 
 
 def green_spectral(spec: GreenSpec, x: int, y: int) -> float:
@@ -138,13 +143,11 @@ def green_spectral(spec: GreenSpec, x: int, y: int) -> float:
     check_vertex(y, spec.N)
     if spec.model.is_exchangeable:
         return float(spec.by_distance[(x ^ y).bit_count()])
-    _check_enumerable(spec.N)
-    return float(np.dot(spec.subset_table(), subset_signs(x ^ y, spec.N))) / (1 << spec.N)
+    return signed_sum(spec.subset_table(), x ^ y) / (1 << spec.N)
 
 
 def green_xor_table(spec: GreenSpec) -> np.ndarray:
     """(1-alpha) G(x, y) for every displacement d = x XOR y, via one fast transform."""
-    _check_enumerable(spec.N)
     table = spec.subset_table()
     _fwht_inplace(table)
     table /= 1 << spec.N
@@ -227,12 +230,6 @@ def coupon_collector_prob(t: int, N: int) -> float:
 def _distance_kernel(N: int, coeffs: np.ndarray) -> np.ndarray:
     """sum_k coeffs_k Binom(N,1/2)(k) Q_k(d) for every distance d = 0..N."""
     return krawtchouk_matrix(N) @ (binomial_pmf(N) * coeffs)
-
-
-def _check_enumerable(N: int):
-    if N > SPECTRAL_ENUMERATION_N_LIMIT:
-        raise ResourceLimitError(
-            f"subset enumeration is capped at N={SPECTRAL_ENUMERATION_N_LIMIT}, got {N}")
 
 
 def check_vertex(x: int, N: int):

@@ -109,6 +109,25 @@ def subset_signs(mask: int, n_bits: int) -> np.ndarray:
     return 1.0 - 2.0 * (pc.astype(np.int64) & 1)
 
 
+def signed_sum(table: np.ndarray, mask: int) -> float:
+    """sum_A table[A] (-1)^popcount(A & mask), folding the 2^n table in place.
+
+    From the top bit down, the upper half is added to the lower half, or
+    subtracted where the bit of mask is set; table[0] ends up holding the
+    sum.  O(2^n) work and no second array, where a sign vector would cost
+    2^n words.  The table is overwritten.
+    """
+    h = table.shape[0] >> 1
+    while h:
+        lo, hi = table[:h], table[h:2 * h]
+        if mask & h:
+            lo -= hi
+        else:
+            lo += hi
+        h >>= 1
+    return float(table[0])
+
+
 def iter_submasks(mask: int):
     """Yield every submask of ``mask`` (including 0 and mask itself)."""
     sub = mask

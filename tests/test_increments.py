@@ -13,7 +13,7 @@ from scipy.special import betaln
 from conftest import assert_within_3se, mean_and_se
 from cubefield import increments as inc
 from cubefield import walk
-from cubefield.errors import DomainError
+from cubefield.errors import DomainError, ResourceLimitError
 from cubefield.polynomials import krawtchouk_eval
 
 
@@ -374,3 +374,38 @@ def test_model_from_dict_examples():
                  "limit-poisson-dirichlet"):
         with pytest.raises(DomainError):
             inc.model_from_dict({"model": name})  # missing parameter, e.g. M for mflip
+
+
+MARKOV_CHAINS = {
+    "benchmark": ((0.5, 0.5), ((0.8, 0.2), (0.3, 0.7))),
+    "asymmetric": ((0.3, 0.7), ((0.8, 0.2), (0.4, 0.6))),
+    "identity": ((0.3, 0.7), ((1.0, 0.0), (0.0, 1.0))),
+    "absorbing-start": ((1.0, 0.0), ((0.8, 0.2), (0.3, 0.7))),
+    "alternating": ((0.1, 0.9), ((0.0, 1.0), (1.0, 0.0))),
+    "thirds": ((1 / 3, 2 / 3), ((1 / 7, 6 / 7), (5 / 11, 6 / 11))),
+}
+
+
+@pytest.mark.parametrize("chain", MARKOV_CHAINS.values(), ids=MARKOV_CHAINS.keys())
+def test_markov_planar_pass_equals_stacked_pass(chain):
+    # the stacked pass starts from position 1, so it covers N >= 1; the empty
+    # subset alone (N = 0) has rho = 1
+    model = inc.MarkovEntries(*chain)
+    assert np.array_equal(inc.rho_all_subsets(model, 0), [1.0])
+    for N in range(1, 17):
+        table = inc.rho_all_subsets(model, N)
+        assert table.shape == (1 << N,) and table.flags.c_contiguous
+        assert np.array_equal(table.view(np.uint64), stacked_markov_rho(model, N).view(np.uint64))
+
+
+@pytest.mark.parametrize("model", [inc.MarkovEntries(*MARKOV_CHAINS["benchmark"]),
+                                   inc.IIDBernoulli(0.3)], ids=["markov", "iid"])
+def test_rho_all_subsets_bounds(model):
+    assert np.array_equal(inc.rho_all_subsets(model, 0), [1.0])
+    with pytest.raises(DomainError):
+        inc.rho_all_subsets(model, -1)
+    # past the cap the call raises before it allocates: never run it for real
+    assert inc.SPECTRAL_ENUMERATION_N_LIMIT == 24
+    for N in (25, 30):
+        with pytest.raises(ResourceLimitError):
+            inc.rho_all_subsets(model, N)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_within_3se
+from cubefield import field as fld
 from cubefield import increments as inc
 from cubefield import walk
 from cubefield.errors import DomainError, NumericError, ResourceLimitError
@@ -262,3 +263,49 @@ def test_subset_table_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= table.nbytes + (1 << 20) + (1 << 19)
+
+
+MARKOV_BENCH = inc.MarkovEntries((0.5, 0.5), ((0.8, 0.2), (0.3, 0.7)))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.9, 0.999])
+def test_markov_subset_table_is_the_weight_chain(alpha):
+    # the in-place chain does the same four float operations as the expression
+    for N in (1, 5, 12):
+        spec = walk.GreenSpec(N, MARKOV_BENCH, alpha)
+        rho = inc.rho_all_subsets(MARKOV_BENCH, N)
+        expected = 1.0 / (1.0 + inc.killing_gap(spec.c, rho))
+        assert np.array_equal(spec.subset_table().view(np.uint64), expected.view(np.uint64))
+
+
+def test_markov_full_cube_peaks_are_one_table():
+    # each route works inside one 2^N float64 array (8 MiB at N = 20) plus
+    # small buffers, never a (2^N, 2) state array or a second table
+    N = 20
+    spec = walk.GreenSpec(N, MARKOV_BENCH, 0.9)
+    noise = fld.SpectralNoise.draw(N, np.random.default_rng(0))
+    routes = {
+        "rho_all_subsets": lambda: inc.rho_all_subsets(MARKOV_BENCH, N),
+        "subset_table": spec.subset_table,
+        "green_xor_table": lambda: walk.green_xor_table(spec),
+        "sample_field_spectral": lambda: fld.sample_field_spectral(spec, noise),
+    }
+    for name, route in routes.items():
+        tracemalloc.start()
+        try:
+            route()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 << 20, (name, peak)
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_markov_pointwise_fold_matches_xor_table(N):
+    spec = walk.GreenSpec(N, MARKOV_BENCH, 0.8)
+    table = walk.green_xor_table(spec)
+    rng = np.random.default_rng(N)
+    for x, y in [(0, 0), (0, (1 << N) - 1), (1, 2)] + [
+            tuple(int(v) for v in rng.integers(1 << N, size=2)) for _ in range(20)]:
+        assert walk.green_spectral(spec, x, y) == pytest.approx(table[x ^ y], rel=1e-12)
+
