@@ -254,11 +254,17 @@ def cmd_limits(args) -> int:
     return 0
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _int_at_least(low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
+        return value
+    parse.__name__ = "integer"  # argparse names the type in "invalid integer value"
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _alpha_value(text):
@@ -321,8 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     ylaw = sub.add_parser("ylaw", help="product-law moments, transforms, signs")
     _add_model_arguments(ylaw)
     ylaw.add_argument("--alpha", type=_alpha_value, required=True)
-    ylaw.add_argument("--kmax", type=int, default=8)
-    ylaw.add_argument("--mc-draws", type=_positive_int, default=100_000)
+    ylaw.add_argument("--kmax", type=_int_at_least(0), default=8)
+    # a standard error needs two draws
+    ylaw.add_argument("--mc-draws", type=_int_at_least(2), default=100_000)
     ylaw.add_argument("--seed", type=int, default=0)
     ylaw.add_argument("--theta-grid", default="0:3:0.5")
     ylaw.add_argument("--out", required=True, help="moments CSV path")

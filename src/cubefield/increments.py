@@ -529,15 +529,23 @@ class MarkovEntries(IncrementModel):
         return out
 
     def pmf(self, N):
-        # pmf over prefixes, doubling one position per round; bit p-1 = position p
-        T = np.array(self.transition)
-        out = np.array(self.initial)  # index = prefix mask of length 1
-        last = np.array([0, 1])  # last bit per prefix
-        for _ in range(1, N):
-            stay = out * T[last, 0]
-            move = out * T[last, 1]
-            out = np.concatenate([stay, move])
-            last = np.concatenate([np.zeros_like(last), np.ones_like(last)])
+        """pmf over prefixes, doubling one position per round inside the 2^N result.
+
+        After round r, out[:2^r] holds the law of positions 1..r, bit p-1 =
+        position p; the prefixes ending in state s are the half with bit
+        r-1 equal to s.  The round writes their extensions by state 1 to
+        out[2^r:2^(r+1)] and scales them in place by T[s][0], so the peak is
+        the result itself.
+        """
+        (t00, t01), (t10, t11) = self.transition
+        out = np.empty(1 << N)
+        out[:2] = self.initial
+        for r in range(1, N):
+            done, half = 1 << r, 1 << (r - 1)
+            np.multiply(out[:half], t01, out=out[done:done + half])
+            np.multiply(out[half:done], t11, out=out[done + half:2 * done])
+            out[:half] *= t00
+            out[half:done] *= t10
         return out
 
     def sample_Z(self, N, rng):
@@ -718,11 +726,14 @@ def increment_pmf(model, N: int) -> np.ndarray:
 
     Enumerates the law directly from the model definition, independently of
     the spectral coefficients; this is the oracle side of dual-route checks.
+    N is capped at SPECTRAL_ENUMERATION_N_LIMIT, checked before anything is
+    allocated.
     """
     if N < 1:
         raise DomainError(f"dimension must be >= 1, got {N}")
     if model.is_limit:
         raise DomainError("limit-regime models have no increment law")
+    check_enumerable(N)
     return model.pmf(N)
 
 

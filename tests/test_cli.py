@@ -187,6 +187,30 @@ def test_ylaw_report(tmp_path):
     assert report["sign_positive"] == pytest.approx(0.75, abs=1e-12)
 
 
+@pytest.mark.parametrize("flag, value", [("--mc-draws", "1"), ("--mc-draws", "0"),
+                                         ("--kmax", "-1")])
+def test_ylaw_argument_ranges_are_usage_errors(tmp_path, capsys, flag, value):
+    # one draw has no standard error; a negative kmax asks for no moment
+    out = tmp_path / "moments.csv"
+    argv = ["ylaw", "--model", "iid-bernoulli", "--p", "0.3", "--alpha", "0.5",
+            "--mc-draws", "100", "--out", str(out), flag, value]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ylaw_smallest_ranges_run(tmp_path):
+    out = tmp_path / "moments.csv"
+    code = run(["ylaw", "--model", "iid-bernoulli", "--p", "0.3", "--alpha", "0.5",
+                "--mc-draws", "2", "--kmax", "0", "--out", str(out)])
+    assert code == 0
+    header, rows = read_csv(out)
+    assert header == ["k", "closed_form", "mc_estimate", "se"]
+    assert rows == [["0", "1.0", "1.0", "0.0"]]
+
+
 def test_limits_fixed_correlation_parseval(tmp_path):
     from math import pi, sqrt
     out = tmp_path / "limits.json"

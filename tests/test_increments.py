@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb, isclose, lcm
@@ -409,3 +410,48 @@ def test_rho_all_subsets_bounds(model):
     for N in (25, 30):
         with pytest.raises(ResourceLimitError):
             inc.rho_all_subsets(model, N)
+
+
+def concatenated_markov_pmf(model, N):
+    """The doubling pass that concatenates two fresh halves every round."""
+    T = np.array(model.transition)
+    out = np.array(model.initial)
+    last = np.array([0, 1])
+    for _ in range(1, N):
+        out = np.concatenate([out * T[last, 0], out * T[last, 1]])
+        last = np.concatenate([np.zeros_like(last), np.ones_like(last)])
+    return out
+
+
+@pytest.mark.parametrize("chain", MARKOV_CHAINS.values(), ids=MARKOV_CHAINS.keys())
+def test_markov_pmf_in_place_equals_concatenated_pass(chain):
+    model = inc.MarkovEntries(*chain)
+    for N in range(1, 21):
+        pmf = inc.increment_pmf(model, N)
+        assert np.array_equal(pmf.view(np.uint64), concatenated_markov_pmf(model, N).view(np.uint64))
+
+
+def test_markov_pmf_peak_is_its_result():
+    model = inc.MarkovEntries(*MARKOV_CHAINS["benchmark"])
+    tracemalloc.start()
+    try:
+        pmf = inc.increment_pmf(model, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= pmf.nbytes + (1 << 16)
+
+
+@pytest.mark.parametrize("model", [inc.MarkovEntries(*MARKOV_CHAINS["benchmark"]),
+                                   inc.IIDBernoulli(0.3), inc.DeFinettiBeta(2.0, 3.0),
+                                   inc.SymmetricBetaSpin(2.0, 1.0), inc.SingleFlip()],
+                         ids=["markov", "iid", "beta", "symmetric-beta", "single-flip"])
+def test_increment_pmf_raises_past_the_cap_before_allocating(model):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            inc.increment_pmf(model, inc.SPECTRAL_ENUMERATION_N_LIMIT + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

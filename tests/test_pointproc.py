@@ -1,4 +1,5 @@
-from math import exp, sqrt
+import tracemalloc
+from math import exp, fsum, log, sqrt
 
 import numpy as np
 import pytest
@@ -210,6 +211,114 @@ def test_sign_independent_of_magnitude_for_symmetric_spins(rng):
     assert abs(corr) <= 3.0 / sqrt(keep.sum()), f"corr = {corr}"
     freq = float(np.mean(s > 0))
     assert_within_3se(freq, 0.5, sqrt(0.25 / keep.sum()), "conditional sign split")
+
+
+# ---------------------------------------------------------------------------
+# the product sampler: atom counts for point masses, chunked spins otherwise
+
+
+def traced_peak(fn):
+    """tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_single_atom_log_is_one_rounded_product(rng):
+    # one atom x: log|Y| is T log|x| rounded once, and the sign is (-1)^T
+    x = 1.0 - 2.0 * 0.7
+    law = pp.YLaw.from_model(inc.IIDBernoulli(0.7), 0.9)
+    signs, logs = pp.sample_Y_signed_log(law, rng, 100_000)
+    steps = np.rint(logs / log(abs(x)))
+    exact = steps * log(abs(x))
+    assert np.all(np.abs(logs - exact) <= np.spacing(np.abs(exact)))
+    assert np.array_equal(signs, np.where(steps % 2 == 1, -1.0, 1.0))
+
+
+def test_single_atom_counts_are_geometric(rng):
+    # T = log|Y| / log|x| against P(T = t) = (1 - alpha) alpha^t, t = 0..39 and a tail cell
+    alpha, n = 0.9, 100_000
+    law = pp.YLaw.from_model(inc.IIDBernoulli(0.3), alpha)
+    _, logs = pp.sample_Y_signed_log(law, rng, n)
+    steps = np.rint(logs / log(0.4)).astype(np.int64)
+    counts = np.bincount(np.minimum(steps, 40), minlength=41)
+    probs = (1 - alpha) * alpha ** np.arange(41.0)
+    probs[40] = alpha ** 40
+    expected = n * probs
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    assert stat < chi2.ppf(0.999, df=40), f"chi-square {stat}"
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.75, 0.99])
+def test_two_atom_sign_frequencies(rng, alpha):
+    # unequal weights, so the parity must be taken on the negative atom's count
+    law = pp.YLaw.from_model(inc.DeFinettiDiscrete((0.2, 0.9), (0.7, 0.3)), alpha)
+    n = 400_000
+    signs, _ = pp.sample_Y_signed_log(law, rng, n)
+    assert not np.any(signs == 0.0)
+    for sign in (1, -1):
+        p = pp.sign_probability(law, sign)
+        assert_within_3se(float(np.mean(signs == sign)), p, sqrt(p * (1 - p) / n),
+                          f"P(sign = {sign})")
+
+
+def test_zero_atom_rows_vanish(rng):
+    # a spin at 0 with weight w: P(Y != 0) = E[(1 - w)^T] = (1 - alpha) / (1 - alpha (1 - w))
+    alpha, w, n = 0.8, 0.3, 200_000
+    law = pp.YLaw.from_model(inc.DeFinettiDiscrete((0.5, 0.9), (w, 1 - w)), alpha)
+    signs, logs = pp.sample_Y_signed_log(law, rng, n)
+    zero = signs == 0.0
+    assert np.array_equal(zero, np.isneginf(logs))
+    assert np.all(np.isfinite(logs[~zero]))
+    p = (1 - alpha) / (1 - alpha * (1 - w))
+    assert_within_3se(float(np.mean(~zero)), p, sqrt(p * (1 - p) / n), "P(Y != 0)")
+
+
+def test_atom_count_blocks_do_not_change_the_draws(monkeypatch):
+    # the multinomial draws row by row, so any block size gives the same stream
+    law = pp.YLaw.from_model(DISCRETE, 0.9)
+    whole = pp.sample_Y_signed_log(law, np.random.default_rng(3), 5000)
+    monkeypatch.setattr(pp, "_SPIN_CHUNK", 7)
+    blocked = pp.sample_Y_signed_log(law, np.random.default_rng(3), 5000)
+    assert np.array_equal(whole[0], blocked[0]) and np.array_equal(whole[1], blocked[1])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 18])
+def test_chunked_spins_match_per_row_products(monkeypatch, chunk):
+    # DeFinettiBeta draws its spins in sequence, so the chunked rows can be
+    # rebuilt from one draw of all spins on a copy of the generator
+    monkeypatch.setattr(pp, "_SPIN_CHUNK", chunk)
+    alpha, n = 0.8, 400
+    law = pp.YLaw.from_model(inc.DeFinettiBeta(1.5, 2.5), alpha)
+    signs, logs = pp.sample_Y_signed_log(law, np.random.default_rng(9), n)
+    ref_rng = np.random.default_rng(9)
+    steps = np.floor(np.log(1.0 - ref_rng.random(n)) / log(alpha)).astype(np.int64)
+    spins = 1.0 - 2.0 * ref_rng.beta(1.5, 2.5, size=int(steps.sum()))
+    ends = np.cumsum(steps)
+    for i in range(n):
+        row = spins[ends[i] - steps[i]:ends[i]]
+        assert signs[i] == np.prod(np.sign(row))
+        assert logs[i] == pytest.approx(fsum(np.log(np.abs(row))), rel=1e-13, abs=1e-13)
+    assert steps.max() > 7  # some rows span several chunks of 7
+
+
+def test_point_mass_peak_does_not_grow_with_alpha():
+    # the benchmark's law: 161 MiB at alpha = 0.75 when every spin was drawn
+    law = pp.YLaw.from_model(DISCRETE, 0.75)
+    rng = np.random.default_rng(1)
+    assert traced_peak(lambda: pp.sample_Y(law, rng, size=1_000_000)) < 64 << 20
+    law = pp.YLaw.from_model(DISCRETE, 1 - 1e-3)
+    assert traced_peak(lambda: pp.sample_Y(law, rng, size=100_000)) < 16 << 20
+
+
+def test_continuous_peak_is_bounded_by_the_chunk():
+    # about 2 * 10^6 spins: 76 MiB when every spin was held at once
+    law = pp.YLaw.from_model(SYMMETRIC, 0.99)
+    rng = np.random.default_rng(1)
+    assert traced_peak(lambda: pp.sample_Y(law, rng, size=20_000)) < 24 << 20
 
 
 # ---------------------------------------------------------------------------
