@@ -50,12 +50,10 @@ def _model_from_args(args) -> increments.IncrementModel:
             spec.update(json.load(fh).get("model_spec", {}))
     if args.model:
         spec["model"] = args.model
-    for key in ("p", "a", "b", "gamma", "kappa"):
+    for key in ("p", "a", "b", "M"):
         val = getattr(args, key, None)
         if val is not None:
             spec[key] = val
-    if getattr(args, "M", None) is not None:
-        spec["M"] = args.M
     if getattr(args, "atoms", None):
         spec["atoms"] = [float(x) for x in args.atoms.split(",")]
     if getattr(args, "weights", None):
@@ -228,10 +226,9 @@ def cmd_limits(args) -> int:
     grid = _parse_grid(args.grid)
     report = {"command": "limits", "seed": args.seed, "law": ylaw.describe()}
     if args.gamma is not None:
-        dims = [int(v) for v in args.N_list.split(",")]
-        gaps = limits.levelset_clt_check(args.gamma, dims, grid)
+        gaps = limits.levelset_clt_check(args.gamma, args.N_list, grid)
         report["gamma"] = args.gamma
-        report["clt_gaps"] = {str(n): gaps[n] for n in dims}
+        report["clt_gaps"] = {str(n): gaps[n] for n in args.N_list}
     spec = limits.build_kappa_spec(ylaw, grid)
     rng = replicate_rng(args.seed, 0)
     zetas = rng.standard_normal(spec.order + 1)
@@ -265,6 +262,10 @@ def _int_at_least(low):
 
 
 _positive_int = _int_at_least(1)
+
+
+def _positive_int_list(text):
+    return [_positive_int(v) for v in text.split(",")]
 
 
 def _alpha_value(text):
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     lim.add_argument("--gamma", type=float)
     lim.add_argument("--fixed-y", type=float,
                      help="use a constant correlation law instead of the gamma mixture")
-    lim.add_argument("--N-list", default="50,100,200,400")
+    lim.add_argument("--N-list", type=_positive_int_list, default="50,100,200,400")
     lim.add_argument("--grid", default="-1.5:1.5:0.75")
     lim.add_argument("--inversion-t", type=float, nargs="*", default=[0.0, 1.0, -1.0])
     lim.add_argument("--seed", type=int, default=0)

@@ -378,7 +378,9 @@ def kappa_cov(ylaw: CorrelationMixture, t: float, s: float,
 
 def scaled_levelset_cov(N: int, gamma: float, t: float, s: float) -> float:
     """Covariance of (1/2) sqrt(N/2^N) theta_{floor(N/2 + sqrt(N)/2 t)} for the
-    simple walk with killing alpha_N = 1 - gamma/N."""
+    simple walk with killing alpha_N = 1 - gamma/N, which needs N > gamma."""
+    if not 0.0 < gamma < N:
+        raise DomainError(f"alpha_N = 1 - gamma/N is outside (0,1) at N = {N}, gamma = {gamma}")
     u = int(N / 2 + sqrt(N) / 2 * t)
     v = int(N / 2 + sqrt(N) / 2 * s)
     if not (0 <= u <= N and 0 <= v <= N):

@@ -1,11 +1,11 @@
 """Killed point processes on [-1, 1] and the product variables Y, Y_phi.
 
 A mixture model for the walk increments carries a spin measure nu on
-[-1, 1] (the law of xi = 1 - 2*omega).  The killed walk from the origin is
-described by the point process of T_alpha i.i.d. spins plus an initial
-point; the product of all points,
+[-1, 1] (the law of xi = 1 - 2*omega).  The killed walk started at the
+origin is described by the point process of T_alpha i.i.d. spins; their
+product (+1 when T_alpha = 0),
 
-    Y = xi_0 * prod_{j=1}^{T_alpha} xi_j,
+    Y = prod_{j=1}^{T_alpha} xi_j,
 
 has moments E[Y^k] = (1 + c (1 - rho_k))^-1 and ties the point-process
 layer to the Green function:
@@ -13,13 +13,14 @@ layer to the Green function:
     (1-alpha) G(x, y) = E[ ((1-Y)/2)^d ((1+Y)/2)^(N-d) ],  d = ||x XOR y||.
 
 The phi-th convolution root Y_phi (negative-binomial point process, seen
-as a mixed Poisson process) satisfies E[Y_phi^k] = E[Y^k]^phi.
+as a mixed Poisson process) satisfies E[Y_phi^k] = E[Y^k]^phi; every
+closed form below is (1 + c (1 - m))^(-phi) of one spin expectation m.
 
 Samplers work on (sign, log|Y|) pairs internally so products of hundreds
 of spins cannot underflow.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, exp, inf, log
 
 import numpy as np
@@ -60,13 +61,12 @@ class YLaw:
     """Product-of-points law: spin measure, killing alpha, divisibility index phi.
 
     phi = 1 is the geometric construction Y; phi = 1/2 is the half process
-    entering the field's spin representation.  The initial measure defaults
-    to a unit point mass at +1 (walk started at the origin).
+    entering the field's spin representation.  The walk starts at the
+    origin, so the empty product (no spins) is +1.
     """
     spin: SpinMeasure
     alpha: float
     phi: float = 1.0
-    initial: SpinMeasure = field(default_factory=lambda: delta_spin(1.0))
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -75,22 +75,25 @@ class YLaw:
             raise DomainError(f"phi must be positive, got {self.phi}")
 
     @classmethod
-    def from_model(cls, model, alpha, phi=1.0, initial=None) -> "YLaw":
-        spin = spin_measure_of(model)
-        if initial is None:
-            return cls(spin, alpha, phi)
-        return cls(spin, alpha, phi, initial)
+    def from_model(cls, model, alpha, phi=1.0) -> "YLaw":
+        return cls(spin_measure_of(model), alpha, phi)
 
     @property
     def c(self) -> float:
         return self.alpha / (1.0 - self.alpha)
 
 
+def _resolvent(law: YLaw, deficit: float) -> float:
+    """E[prod_j h(xi_j)] = (1 + c (1 - m))^(-phi) for m = int h dnu, deficit = 1 - m:
+    the generating function at m of the Gamma(phi)-mixed Poisson(lambda c) spin count."""
+    return (1.0 + law.c * deficit) ** (-law.phi)
+
+
 def moment_Y(law: YLaw, k: int) -> float:
-    """E[Y_phi^k] = (1 + c (1 - rho_k))^(-phi) (origin-start convention)."""
+    """E[Y_phi^k] = (1 + c (1 - rho_k))^(-phi)."""
     if k < 0:
         raise DomainError(f"moment order must be >= 0, got {k}")
-    return (1.0 + law.spin.gap(k, None, law.alpha)) ** (-law.phi)
+    return _resolvent(law, 1.0 - law.spin.moment(k))
 
 
 def sample_Y_signed_log(law: YLaw, rng: np.random.Generator,
@@ -99,7 +102,7 @@ def sample_Y_signed_log(law: YLaw, rng: np.random.Generator,
 
     sign is in {-1, 0, +1}; a zero spin gives sign 0 and log|Y| = -inf.
     T is drawn by inversion, then the product of T spins as in
-    `_product_batches`, then the initial spin.
+    `_product_batches`.
     """
     if law.phi != 1.0:
         raise DomainError("the geometric construction is the phi = 1 law; use sample_Y_phi")
@@ -109,13 +112,7 @@ def sample_Y_signed_log(law: YLaw, rng: np.random.Generator,
     u /= log(law.alpha)
     counts = np.floor(u, out=u).astype(np.int64)
     del u
-    signs, logs = _product_batches(law.spin, counts, rng)
-    del counts
-    xi0 = np.asarray(law.initial.sample(rng, size=size), dtype=float)
-    signs *= np.sign(xi0)
-    with np.errstate(divide="ignore"):
-        logs += np.log(np.abs(xi0, out=xi0), out=xi0)
-    return signs, logs
+    return _product_batches(law.spin, counts, rng)
 
 
 def _product_batches(spin, counts, rng):
@@ -183,37 +180,38 @@ def _chunked_products(spin, counts, rng, signs, logs):
     signs[np.isneginf(logs)] = 0.0
 
 
+def _signed_exp(signs, logs, size):
+    """sign * exp(log|Y|), in the log array; a float when size is None."""
+    vals = np.exp(logs, out=logs)
+    vals *= signs
+    return float(vals[0]) if size is None else vals
+
+
 def sample_Y(law: YLaw, rng: np.random.Generator, size: int | None = None):
-    """Y itself (phi = 1): initial spin times T_alpha further i.i.d. spins.
+    """Y itself (phi = 1): the product of T_alpha i.i.d. spins.
 
     Route: T by inversion of a uniform, the product of T spins from the
     atom counts (point-mass laws) or from chunked spin draws (continuous
     laws), then sign * exp(log|Y|); see `_product_batches`.  The tracemalloc
     peak is a few arrays of `size` floats plus O(2^18) per chunk, at any
     alpha: 10^6 draws of DeFinettiDiscrete((0.2, 0.9), (0.5, 0.5)) at
-    alpha = 0.75 stay under 64 MiB.  With one atom x, log|Y| is within half
+    alpha = 0.75 stay under 32 MiB.  With one atom x, log|Y| is within half
     an ulp of T log|x|.
     """
     n = 1 if size is None else size
-    signs, logs = sample_Y_signed_log(law, rng, n)
-    vals = np.exp(logs, out=logs)
-    vals *= signs
-    return float(vals[0]) if size is None else vals
+    return _signed_exp(*sample_Y_signed_log(law, rng, n), size)
 
 
 def sample_Y_phi(law: YLaw, rng: np.random.Generator, size: int | None = None):
     """Y_phi via the mixed-Poisson construction.
 
     Draw lambda ~ Gamma(phi), M ~ Poisson(lambda c), multiply M i.i.d.
-    spins.  No initial point: this is the pure convolution-root process.
+    spins.  At phi = 1 M is geometric and this is the law of `sample_Y`.
     """
     n = 1 if size is None else size
     lam = rng.gamma(law.phi, size=n)
     counts = rng.poisson(lam * law.c)
-    signs, logs = _product_batches(law.spin, counts.astype(np.int64), rng)
-    vals = np.exp(logs, out=logs)
-    vals *= signs
-    return float(vals[0]) if size is None else vals
+    return _signed_exp(*_product_batches(law.spin, counts.astype(np.int64), rng), size)
 
 
 # ---------------------------------------------------------------------------
@@ -221,50 +219,49 @@ def sample_Y_phi(law: YLaw, rng: np.random.Generator, size: int | None = None):
 
 
 def laplace_neg_log_abs(law: YLaw, theta: float) -> float:
-    """Laplace transform E[e^(-theta * (-log|Y|))] = E[|Y|^theta], phi = 1 form:
+    """Laplace transform E[e^(-theta * (-log|Y_phi|))] = E[|Y_phi|^theta]:
 
-        (1 + c int (1-|xi|^theta) nu)^-1 * int |xi|^theta phi_0.
+        (1 + c int (1 - |xi|^theta) nu)^(-phi).
     """
     if theta < 0:
         raise DomainError(f"theta must be >= 0, got {theta}")
     _require_no_zero_atoms(law)
-    nu_abs = law.spin.abs_moment(theta)
-    init_abs = law.initial.abs_moment(theta)
-    return init_abs / (1.0 + law.c * (1.0 - nu_abs))
+    return _resolvent(law, 1.0 - law.spin.abs_moment(theta))
 
 
 def joint_sign_laplace(law: YLaw, theta: float, sign: int) -> float:
-    """E[1{sign(Y) = sign} |Y|^theta]: the two-term (H(1) +- H(-1))/2 resolvent form."""
+    """E[1{sign(Y_phi) = sign} |Y_phi|^theta] = (h_abs +- h_signed) / 2: E[|Y_phi|^theta]
+    and E[sign(Y_phi) |Y_phi|^theta], the resolvents of int |xi|^theta nu and
+    int sign(xi) |xi|^theta nu.
+    """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
     if theta < 0:
         raise DomainError(f"theta must be >= 0, got {theta}")
     _require_no_zero_atoms(law)
     nu_neg, nu_pos = law.spin.abs_moment_split(theta)
-    init_neg, init_pos = law.initial.abs_moment_split(theta)
-    h_plus = (init_neg + init_pos) / (1.0 + law.c * (1.0 - nu_neg - nu_pos))
-    h_minus = (1.0 - law.alpha) * (init_pos - init_neg) \
-        / (1.0 - law.alpha * (nu_pos - nu_neg))
-    return 0.5 * (h_plus + sign * h_minus)
+    h_abs = _resolvent(law, 1.0 - nu_neg - nu_pos)
+    h_signed = _resolvent(law, 1.0 - (nu_pos - nu_neg))
+    return 0.5 * (h_abs + sign * h_signed)
 
 
 def sign_probability(law: YLaw, sign: int) -> float:
-    """P(Y > 0) or P(Y < 0):
+    """P(Y_phi > 0) or P(Y_phi < 0):
 
-        (1/2) (1 +- (1 + 2c nu_-)^-1 (1 - 2 phi0_-)),
+        (1/2) (1 +- (1 + 2c nu_-)^(-phi)),
 
-    with nu_- and phi0_- the spin mass on [-1, 0].
+    the resolvent of int sign(xi) nu = 1 - 2 nu_-, nu_- the spin mass on
+    [-1, 0].  A spin atom at 0 puts mass on Y = 0 and raises DomainError.
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
-    nu_neg = law.spin.mass_nonpositive()
-    init_neg = law.initial.mass_nonpositive()
-    return 0.5 * (1.0 + sign * (1.0 - 2.0 * init_neg) / (1.0 + 2.0 * law.c * nu_neg))
+    _require_no_zero_atoms(law)
+    return 0.5 * (1.0 + sign * _resolvent(law, 2.0 * law.spin.mass_nonpositive()))
 
 
 def _require_no_zero_atoms(law: YLaw):
-    if law.spin.has_atom_at_zero() or law.initial.has_atom_at_zero():
-        raise DomainError("spin or initial measure has an atom at zero")
+    if law.spin.has_atom_at_zero():
+        raise DomainError("spin measure has an atom at zero")
 
 
 # ---------------------------------------------------------------------------
@@ -273,27 +270,25 @@ def _require_no_zero_atoms(law: YLaw):
 
 @dataclass(frozen=True)
 class EvolvedMeasure:
-    """Spin law of the walk's mixture parameter after t unkilled steps."""
+    """psi_t, the product of t i.i.d. spins: the mixture parameter after t unkilled steps."""
     spin: SpinMeasure
-    initial: SpinMeasure
     steps: int
 
     def moment(self, k: int) -> float:
-        """E[psi_t^k] = (int xi^k nu)^t * int xi^k phi_0."""
-        return self.spin.moment(k) ** self.steps * self.initial.moment(k)
+        """E[psi_t^k] = (int xi^k nu)^t."""
+        return self.spin.moment(k) ** self.steps
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
+        """psi_t by the product engine of `sample_Y` with every row's count t."""
         n = 1 if size is None else size
-        out = np.asarray(self.initial.sample(rng, size=n), dtype=float)
-        for _ in range(self.steps):
-            out = out * np.asarray(self.spin.sample(rng, size=n), dtype=float)
-        return float(out[0]) if size is None else out
+        counts = np.full(n, self.steps, dtype=np.int64)
+        return _signed_exp(*_product_batches(self.spin, counts, rng), size)
 
 
-def evolve_measure(spin: SpinMeasure, initial: SpinMeasure, t: int) -> EvolvedMeasure:
+def evolve_measure(spin: SpinMeasure, t: int) -> EvolvedMeasure:
     if t < 0:
         raise DomainError(f"step count must be >= 0, got {t}")
-    return EvolvedMeasure(spin, initial, t)
+    return EvolvedMeasure(spin, t)
 
 
 def killed_measure_moments(law: YLaw, ones: int, total: int,

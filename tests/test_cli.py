@@ -211,6 +211,17 @@ def test_ylaw_smallest_ranges_run(tmp_path):
     assert rows == [["0", "1.0", "1.0", "0.0"]]
 
 
+def test_ylaw_zero_spin_atom_is_a_domain_error(tmp_path, capsys):
+    # omega = 1/2 is a spin at 0: Y = 0 has mass, so P(Y > 0) + P(Y < 0) < 1
+    summary = tmp_path / "ylaw.json"
+    code = run(["ylaw", "--model", "definetti-discrete", "--atoms", "0.5,0.9",
+                "--weights", "0.3,0.7", "--alpha", "0.8", "--mc-draws", "1000",
+                "--out", str(tmp_path / "moments.csv"), "--summary", str(summary)])
+    assert code == 3
+    assert "atom at zero" in capsys.readouterr().err
+    assert not summary.exists()
+
+
 def test_limits_fixed_correlation_parseval(tmp_path):
     from math import pi, sqrt
     out = tmp_path / "limits.json"
@@ -238,6 +249,28 @@ def test_limits_report(tmp_path):
     assert header == ["theta", "full", "U_part", "V_part"]
     for _, full, u_part, v_part in rows:
         assert float(u_part) + float(v_part) == pytest.approx(float(full), abs=1e-12)
+
+
+@pytest.mark.parametrize("value", ["50,abc", "50,,100", "0", "50,-1", ""])
+def test_limits_N_list_parse_errors_are_usage_errors(tmp_path, capsys, value):
+    out = tmp_path / "limits.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["limits", "--gamma", "2", "--N-list", value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--N-list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dims, bad", [("50,100", 50), ("100,60", 60)])
+def test_limits_N_at_most_gamma_is_a_domain_error(tmp_path, capsys, dims, bad):
+    # alpha_N = 1 - gamma/N leaves (0,1) once N <= gamma
+    out = tmp_path / "limits.json"
+    code = run(["limits", "--gamma", "60", "--N-list", dims, "--grid", "-1:1:1",
+                "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"N = {bad}, gamma = 60" in err
+    assert not out.exists()
 
 
 def test_limits_without_inversion_points(tmp_path):

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from math import exp, fsum, log, sqrt
 
@@ -198,6 +199,33 @@ def test_sign_probability_examples(rng):
     assert_within_3se(freq, 1 / (1 + alpha), sqrt(0.7 * 0.3 / draws.size), "P(+) flip")
 
 
+def test_sign_probability_rejects_zero_atom():
+    # P(Y = 0) > 0 here: the two signs no longer split the unit mass
+    law = pp.YLaw.from_model(inc.DeFinettiDiscrete((0.5, 0.9), (0.3, 0.7)), 0.8)
+    for sign in (1, -1):
+        with pytest.raises(DomainError):
+            pp.sign_probability(law, sign)
+
+
+@pytest.mark.parametrize("model, phi, alpha", [
+    (DISCRETE, 0.5, 0.6), (SYMMETRIC, 2.5, 0.5), (inc.DeFinettiBeta(1.5, 2.5), 0.3, 0.7)])
+def test_transforms_honour_phi(rng, model, phi, alpha):
+    # each closed form is (1 + c(1 - m))^(-phi) of one spin integral m
+    law = pp.YLaw.from_model(model, alpha, phi=phi)
+    y = pp.sample_Y_phi(law, rng, size=400_000)
+    theta = 1.3
+    mag = np.abs(y) ** theta
+    checks = [(mag, pp.laplace_neg_log_abs(law, theta), "E[|Y|^theta]")]
+    for sign in (1, -1):
+        hit = np.sign(y) == sign
+        checks.append((np.where(hit, mag, 0.0), pp.joint_sign_laplace(law, theta, sign),
+                       f"E[1{{sign = {sign}}} |Y|^theta]"))
+        checks.append((hit, pp.sign_probability(law, sign), f"P(sign = {sign})"))
+    for samples, target, label in checks:
+        est, se = mean_and_se(samples)
+        assert abs(est - target) <= 5.0 * se, f"{label}: {est} vs {target}, SE {se}"
+
+
 def test_sign_independent_of_magnitude_for_symmetric_spins(rng):
     # independence is a statement about products of at least one symmetric
     # spin: the empty product is deterministically (+1, magnitude 1), so the
@@ -314,6 +342,13 @@ def test_point_mass_peak_does_not_grow_with_alpha():
     assert traced_peak(lambda: pp.sample_Y(law, rng, size=100_000)) < 16 << 20
 
 
+def test_sample_Y_peak_is_its_counts_signs_and_logs():
+    # three arrays of 10^6 (8 MiB each) and one block of atom counts
+    law = pp.YLaw.from_model(DISCRETE, 0.75)
+    rng = np.random.default_rng(1)
+    assert traced_peak(lambda: pp.sample_Y(law, rng, size=1_000_000)) < 32 << 20
+
+
 def test_continuous_peak_is_bounded_by_the_chunk():
     # about 2 * 10^6 spins: 76 MiB when every spin was held at once
     law = pp.YLaw.from_model(SYMMETRIC, 0.99)
@@ -328,21 +363,39 @@ def test_continuous_peak_is_bounded_by_the_chunk():
 def test_evolve_measure_steps():
     spin = pp.spin_measure_of(DISCRETE)
     start = pp.delta_spin(1.0)
-    t0 = pp.evolve_measure(spin, start, 0)
+    t0 = pp.evolve_measure(spin, 0)
     for k in range(5):
         assert t0.moment(k) == start.moment(k)
-    t1 = pp.evolve_measure(pp.delta_spin(0.6), start, 1)
+    t1 = pp.evolve_measure(pp.delta_spin(0.6), 1)
     for k in range(5):
         assert t1.moment(k) == pytest.approx(0.6 ** k, abs=1e-14)
 
 
 def test_evolve_measure_mc(rng):
     spin = pp.spin_measure_of(DISCRETE)
-    ev = pp.evolve_measure(spin, pp.delta_spin(1.0), 3)
+    ev = pp.evolve_measure(spin, 3)
     draws = ev.sample(rng, size=400_000)
     for k in range(1, 5):
         est, se = mean_and_se(draws ** k)
         assert_within_3se(est, ev.moment(k), se, f"evolved moment {k}")
+
+
+def test_evolve_measure_mc_continuous_spins(rng):
+    # the chunked-spin route: three Beta spins per row, negative ones included
+    ev = pp.evolve_measure(inc.DeFinettiBeta(1.5, 2.5), 3)
+    draws = ev.sample(rng, size=200_000)
+    for k in range(1, 5):
+        est, se = mean_and_se(draws ** k)
+        assert_within_3se(est, ev.moment(k), se, f"evolved moment {k}")
+
+
+def test_evolve_measure_long_products_are_fast():
+    # the atom counts of 10^5 steps are one multinomial draw per row
+    ev = pp.evolve_measure(DISCRETE, 10 ** 5)
+    start = time.perf_counter()
+    draws = ev.sample(np.random.default_rng(2), size=16)
+    assert time.perf_counter() - start < 1.0
+    assert draws.shape == (16,) and np.all(np.abs(draws) < 1e-300)
 
 
 # ---------------------------------------------------------------------------
