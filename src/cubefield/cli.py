@@ -195,24 +195,27 @@ def cmd_ylaw(args) -> int:
         est = float(np.mean(powers))
         se = float(np.std(powers, ddof=1) / np.sqrt(len(powers)))
         moment_rows.append((k, closed, est, se))
-    _write_csv(args.out, ["k", "closed_form", "mc_estimate", "se"], moment_rows)
+    # evaluate every output before writing any: a rejected law leaves no partial set
+    outputs = [(_write_csv, args.out, ["k", "closed_form", "mc_estimate", "se"], moment_rows)]
     if args.laplace_out:
         thetas = _parse_grid(args.theta_grid)
         rows = [(float(th), pointproc.laplace_neg_log_abs(law, float(th))) for th in thetas]
-        _write_csv(args.laplace_out, ["theta", "value"], rows)
+        outputs.append((_write_csv, args.laplace_out, ["theta", "value"], rows))
     if args.histogram_out:
         counts, edges = np.histogram(draws, bins=40, range=(-1.0, 1.0))
         rows = [(float(lo), float(hi), int(c))
                 for lo, hi, c in zip(edges[:-1], edges[1:], counts)]
-        _write_csv(args.histogram_out, ["bin_low", "bin_high", "count"], rows)
+        outputs.append((_write_csv, args.histogram_out, ["bin_low", "bin_high", "count"], rows))
     if args.summary:
-        _write_json(args.summary, {
+        outputs.append((_write_json, args.summary, {
             "command": "ylaw",
             "model_spec": increments.model_to_dict(model),
             "alpha": args.alpha, "seed": args.seed, "mc_draws": args.mc_draws,
             "sign_positive": pointproc.sign_probability(law, +1),
             "sign_negative": pointproc.sign_probability(law, -1),
-        })
+        }))
+    for write, path, *content in outputs:
+        write(path, *content)
     return 0
 
 

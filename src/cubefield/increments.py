@@ -9,9 +9,11 @@ and the killed-walk gap b_A = c (1 - rho_A) with c = alpha/(1-alpha).
 Exchangeable laws have rho_A depending on |A| only.  The Limit* variants
 describe N -> infinity regimes and carry only b_A.
 
-Each law is a small frozen dataclass carrying its own rho, pmf, samplers
+Each law is a small frozen dataclass carrying its own rho, law, samplers
 (one step, and the XOR of T steps) and gap; the de Finetti laws are also
-their own spin measure.  Every operation is pure given an explicit numpy
+their own spin measure.  Every 2^N table of an exchangeable law is one
+popcount gather of an (N+1)-vector; only MarkovEntries builds its own.
+Every operation is pure given an explicit numpy
 Generator, so instances are safe to share across threads.
 """
 
@@ -50,7 +52,10 @@ def _killing_c(alpha) -> float:
 
 
 class IncrementModel:
-    """An increment law: rho(k, N) for sizes k >= 1, pmf(N), sample_Z(N, rng), gap."""
+    """An increment law: rho(k, N) for sizes k >= 1, pmf(N), sample_Z(N, rng), gap.
+
+    Exchangeable laws give pmf_by_size(N), the probability of one increment
+    with j ones, j = 0..N, and pmf(N) is its gather over the popcounts."""
     is_limit = False
     is_definetti = False
     is_exchangeable = True
@@ -72,6 +77,9 @@ class IncrementModel:
 
     def rho_all_subsets(self, N: int) -> np.ndarray:
         return rho_by_size(self, N)[popcounts(N)]
+
+    def pmf(self, N: int) -> np.ndarray:
+        return self.pmf_by_size(N)[popcounts(N)]
 
     def gap(self, k: int, N: int | None, alpha: float | None) -> float:
         """b_k = c (1 - rho_k) for a subset of size k."""
@@ -149,11 +157,11 @@ class _PointMasses(_DeFinetti):
     def rho(self, k, N=None):
         return fsum(w * x ** k for x, w in self._spins)
 
-    def pmf(self, N):
-        pc = popcounts(N)
-        out = np.zeros(1 << N)
+    def pmf_by_size(self, N):
+        j = np.arange(N + 1)
+        out = np.zeros(N + 1)
         for a, w in zip(self.atoms, self.weights):
-            out += w * a ** pc * (1.0 - a) ** (N - pc)
+            out += w * a ** j * (1.0 - a) ** (N - j)
         return out
 
     def abs_moment(self, theta):
@@ -268,10 +276,9 @@ class DeFinettiBeta(_DeFinetti):
         """
         return _beta_spin_moments(float(self.a), float(self.b), _table_length(k))[k]
 
-    def pmf(self, N):
-        pc = popcounts(N)
-        a, b = float(self.a), float(self.b)  # integer shapes would add in uint8
-        return np.exp(betaln(a + pc, b + N - pc) - betaln(a, b))
+    def pmf_by_size(self, N):
+        j = np.arange(N + 1)
+        return np.exp(betaln(self.a + j, self.b + N - j) - betaln(self.a, self.b))
 
     def omega(self, rng):
         return float(rng.beta(self.a, self.b))
@@ -320,16 +327,16 @@ class SymmetricBetaSpin(_DeFinetti):
             return 0.0
         return _beta_moments(float(self.a), float(self.b), _table_length(k))[k]
 
-    def pmf(self, N):
-        pc = popcounts(N)
+    def pmf_by_size(self, N):
+        j = np.arange(N + 1)
         nodes, weights = roots_jacobi(N // 2 + 1, self.b - 1.0, self.a - 1.0)
         weights = weights / weights.sum()
         # xi = +r and -r branches, each with probability 1/2
-        out = np.zeros(1 << N)
+        out = np.zeros(N + 1)
         for x, w in zip(nodes, weights):
             r = (1.0 + x) / 2.0  # Jacobi node on [-1,1] -> magnitude on [0,1]
             lo, hi = (1.0 - r) / 2.0, (1.0 + r) / 2.0
-            out += 0.5 * w * (lo ** pc * hi ** (N - pc) + hi ** pc * lo ** (N - pc))
+            out += 0.5 * w * (lo ** j * hi ** (N - j) + hi ** j * lo ** (N - j))
         return out
 
     def omega(self, rng):
@@ -373,9 +380,9 @@ class SingleFlip(_DimensionDependent):
     def _rho(self, k, N):
         return 1.0 - 2.0 * k / N
 
-    def pmf(self, N):
-        out = np.zeros(1 << N)
-        out[1 << np.arange(N)] = 1.0 / N
+    def pmf_by_size(self, N):
+        out = np.zeros(N + 1)
+        out[1] = 1.0 / N
         return out
 
     def sample_Z(self, N, rng):
@@ -409,10 +416,10 @@ class MFlip(_DimensionDependent):
         self._check_fits(N)
         return float(krawtchouk_eval(self.m, k, N))
 
-    def pmf(self, N):
+    def pmf_by_size(self, N):
         self._check_fits(N)
-        out = np.zeros(1 << N)
-        out[popcounts(N) == self.m] = 1.0 / comb(N, self.m)
+        out = np.zeros(N + 1)
+        out[self.m] = 1.0 / comb(N, self.m)
         return out
 
     def sample_Z(self, N, rng):
@@ -436,10 +443,10 @@ class RandomSiteHalf(_DimensionDependent):
         # averages to 1/2 + (N - 2k)/(2N) = 1 - k/N.
         return 1.0 - k / N
 
-    def pmf(self, N):
-        out = np.zeros(1 << N)
+    def pmf_by_size(self, N):
+        out = np.zeros(N + 1)
         out[0] = 0.5
-        out[1 << np.arange(N)] = 0.5 / N
+        out[1] = 0.5 / N
         return out
 
     def sample_Z(self, N, rng):

@@ -5,6 +5,10 @@ Summing the field over Hamming spheres gives a Gaussian vector theta_v with
     Cov(theta_u, theta_v) = binom(N,u) binom(N,v) 2^-N
                             [1 + sum_k E[Y^k] binom(N,k) Q_k(u) Q_k(v)].
 
+All of it reads one factor B, B_vk = binom(N,v) 2^(-N/2) E[Y^k]^(1/2)
+sqrt(binom(N,k)) Q_k(v): the covariance is B B^T, the representation from
+N+1 normals B zeta, and the CLT scaling reads rows of B.
+
 Scaled by (1/2) sqrt(N / 2^N) and indexed near N/2 + (sqrt(N)/2) t, the
 level sets converge to the stationary-grid process
 
@@ -20,15 +24,14 @@ carry the even and odd spectral blocks.
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, exp, lgamma, log, pi, sqrt
+from math import exp, pi, sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NumericError
 from .field import FieldSample
-from .polynomials import (EXACT_N_LIMIT, hermite_weighted_all,
-                          krawtchouk_weighted_matrix)
+from .polynomials import hermite_weighted_all, krawtchouk_weighted_matrix
 from .increments import SingleFlip
 from .walk import GreenSpec
 from .walsh import popcounts
@@ -204,53 +207,38 @@ def levelset_representation(spec: GreenSpec, zetas: np.ndarray) -> np.ndarray:
     zetas = np.asarray(zetas, dtype=float)
     if zetas.shape != (spec.N + 1,):
         raise DomainError(f"need {spec.N + 1} normals, got shape {zetas.shape}")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
-            theta = _representation_matrix(spec) @ zetas
-    except OverflowError as err:  # binom(N, v) itself is past the float range
-        raise NumericError(f"binom({spec.N}, v) is past the float range") from err
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
+        theta = _representation_matrix(spec) @ zetas
     return _finite(theta, "level-set representation", spec.N)
 
 
-def _representation_matrix(spec: GreenSpec, dtype=np.float64) -> np.ndarray:
-    """B with theta = B zeta; row v, column k."""
-    N = spec.N
-    m = np.sqrt(spec.weights.astype(dtype))
-    half = dtype(2.0) ** dtype(-N / 2.0)
-    pref = np.array([comb(N, v) for v in range(N + 1)], dtype=dtype) * half
-    # row v is binom(N,v) 2^(-N/2) m_k sqrt(binom(N,k)) Q_k(v)
-    return pref[:, None] * m[None, :] * krawtchouk_weighted_matrix(N, dtype)
+def _representation_matrix(spec: GreenSpec, scale: float | None = None) -> np.ndarray:
+    """B with theta = B zeta and Cov(theta) = B B^T: row v, column k is
+    binom(N,v) 2^-N scale m_k sqrt(binom(N,k)) Q_k(v), m_k = E[Y^k]^(1/2),
+    with scale = 2^(N/2) by default.  Another scale s gives s 2^(-N/2) B,
+    whose central rows stay in the float range past N = 2046."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by the callers
+        pref = spec.binom_pmf * (np.exp2(spec.N / 2.0) if scale is None else scale)
+        return pref[:, None] * spec.half_weights * krawtchouk_weighted_matrix(spec.N)
 
 
 def levelset_cov(spec: GreenSpec, u: int, v: int) -> float:
-    """Cov(theta_u, theta_v) in closed form (exchangeable models)."""
-    return float(levelset_cov_matrix(spec)[u, v])
-
-
-def levelset_cov_matrix(spec: GreenSpec, dtype=np.float64) -> np.ndarray:
-    """All level-set covariances at once.
-
-    Computed as binom(N,u) binom(N,v) 2^-N sum_k E[Y^k] r_k(u) r_k(v) with
-    r_k = sqrt(binom(N,k)) Q_k.  The sum alternates in sign, so rows near
-    the edges (u near 0 or N) lose their digits past N ~ 50 (README, "Size
-    caps"); past N ~ 1050 the result leaves the float range.
-    """
-    N = spec.N
-    w = spec.weights.astype(dtype)  # E[Y^k], k = 0..N
+    """Cov(theta_u, theta_v) in closed form (exchangeable models): rows u, v of B."""
+    B = _representation_matrix(spec)
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
-        rows = krawtchouk_weighted_matrix(N, dtype)
-        if N <= EXACT_N_LIMIT:
-            pref = np.array([comb(N, v) for v in range(N + 1)], dtype=dtype) \
-                * dtype(2.0) ** dtype(-N / 2.0)
-        else:
-            pref = np.exp(np.array([_log_binom(N, v) for v in range(N + 1)])
-                          - N * log(2.0) / 2.0).astype(dtype)
-        cov = pref[:, None] * pref[None, :] * ((rows * w) @ rows.T)
-    return _finite(cov, "level-set covariance", N)
+        return float(_finite(B[u] @ B[v], "level-set covariance", spec.N))
 
 
-def _log_binom(N: int, v: int) -> float:
-    return lgamma(N + 1) - lgamma(v + 1) - lgamma(N - v + 1)
+def levelset_cov_matrix(spec: GreenSpec) -> np.ndarray:
+    """All level-set covariances at once, B B^T.
+
+    The spectral sum alternates in sign, so rows near the edges (u near 0 or
+    N) lose their digits past N ~ 50 (README, "Size caps"); past N ~ 1050
+    the result leaves the float range.
+    """
+    B = _representation_matrix(spec)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
+        return _finite(B @ B.T, "level-set covariance", spec.N)
 
 
 def _finite(values: np.ndarray, what: str, N: int) -> np.ndarray:
@@ -376,37 +364,35 @@ def kappa_cov(ylaw: CorrelationMixture, t: float, s: float,
 # finite-N to limit comparison
 
 
-def scaled_levelset_cov(N: int, gamma: float, t: float, s: float) -> float:
+def scaled_levelset_cov(N: int, gamma: float, t, s) -> float | np.ndarray:
     """Covariance of (1/2) sqrt(N/2^N) theta_{floor(N/2 + sqrt(N)/2 t)} for the
-    simple walk with killing alpha_N = 1 - gamma/N, which needs N > gamma."""
+    simple walk with killing alpha_N = 1 - gamma/N, which needs N > gamma.
+
+    Floats t and s give a float, 1-D sequences the matrix (rows t, columns
+    s) from one factor B.  Entries are row sums, not a BLAS product, so each
+    is the same float whichever other points share the call."""
     if not 0.0 < gamma < N:
         raise DomainError(f"alpha_N = 1 - gamma/N is outside (0,1) at N = {N}, gamma = {gamma}")
-    u = int(N / 2 + sqrt(N) / 2 * t)
-    v = int(N / 2 + sqrt(N) / 2 * s)
-    if not (0 <= u <= N and 0 <= v <= N):
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+    u = (N / 2 + sqrt(N) / 2 * np.atleast_1d(t)).astype(int)
+    v = (N / 2 + sqrt(N) / 2 * np.atleast_1d(s)).astype(int)
+    if not (np.all((0 <= u) & (u <= N)) and np.all((0 <= v) & (v <= N))):
         raise DomainError(f"scaled index out of range: t={t}, s={s} at N={N}")
-    w = GreenSpec(N, SingleFlip(), 1.0 - gamma / N).weights  # E[Y^k] at finite N
-    R = krawtchouk_weighted_matrix(N)
-    ru, rv = R[u], R[v]
-    pref_u = sqrt(N) / 2.0 * exp(_log_binom(N, u) - N * log(2.0))
-    pref_v = sqrt(N) / 2.0 * exp(_log_binom(N, v) - N * log(2.0))
-    return pref_u * pref_v * float(np.dot(w, ru * rv))
+    B = _representation_matrix(GreenSpec(N, SingleFlip(), 1.0 - gamma / N), scale=sqrt(N) / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
+        cov = _finite((B[u][:, None, :] * B[v][None, :, :]).sum(axis=-1),
+                      "scaled level-set covariance", N)
+    return float(cov[0, 0]) if t.ndim == 0 and s.ndim == 0 else cov
 
 
 def levelset_clt_check(gamma: float, dims, t_grid) -> dict:
     """Sup over grid pairs of |finite-N scaled covariance - E[n(t,s;Y)]| per N."""
     ylaw = VanishingKillingY(gamma)
     t_grid = [float(t) for t in t_grid]
-    limit = {(t, s): kappa_cov(ylaw, t, s, method="mixture")
-             for t in t_grid for s in t_grid}
-    gaps = {}
-    for N in dims:
-        worst = 0.0
-        for t in t_grid:
-            for s in t_grid:
-                worst = max(worst, abs(scaled_levelset_cov(N, gamma, t, s) - limit[(t, s)]))
-        gaps[int(N)] = worst
-    return gaps
+    limit = np.array([[kappa_cov(ylaw, t, s, method="mixture") for s in t_grid]
+                      for t in t_grid])
+    return {int(N): float(np.abs(scaled_levelset_cov(N, gamma, t_grid, t_grid) - limit).max())
+            for N in dims}
 
 
 # ---------------------------------------------------------------------------

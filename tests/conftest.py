@@ -1,5 +1,10 @@
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
+
+from cubefield.polynomials import KrawtchoukBasis
 
 
 @pytest.fixture
@@ -22,3 +27,20 @@ def covariance_se(analytic, n):
     """SE matrix for empirical second moments of a centered Gaussian vector."""
     d = np.diag(analytic)
     return np.sqrt((np.outer(d, d) + analytic ** 2) / n)
+
+
+def exact_levelset_cov(spec):
+    """Cov(theta_u, theta_v) = binom(N,u) binom(N,v) 2^-N sum_k w_k binom(N,k) Q_k(u) Q_k(v)
+    from the exact Krawtchouk integers, with the float weights w_k = E[Y^k]
+    taken as exact rationals and one rounding per entry."""
+    N = spec.N
+    basis = KrawtchoukBasis(N)
+    w = [Fraction(x) for x in spec.weights]
+    out = np.empty((N + 1, N + 1))
+    for u in range(N + 1):
+        for v in range(u, N + 1):
+            # binom(N,k) Q_k(u) Q_k(v) = scaled(k,u) scaled(k,v) / binom(N,k)
+            total = sum(w[k] * basis.scaled(k, u) * basis.scaled(k, v) / comb(N, k)
+                        for k in range(N + 1))
+            out[u, v] = out[v, u] = float(total * comb(N, u) * comb(N, v) / (1 << N))
+    return out

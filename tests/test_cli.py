@@ -222,6 +222,19 @@ def test_ylaw_zero_spin_atom_is_a_domain_error(tmp_path, capsys):
     assert not summary.exists()
 
 
+def test_ylaw_domain_error_leaves_no_partial_output(tmp_path, capsys):
+    # the moments exist for this law, but its Laplace curve and sign split
+    # do not: no file may be written before every table is evaluated
+    paths = [tmp_path / name for name in ("m.csv", "l.csv", "h.csv", "s.json")]
+    code = run(["ylaw", "--model", "definetti-discrete", "--atoms", "0.5,0.9",
+                "--weights", "0.3,0.7", "--alpha", "0.8", "--out", str(paths[0]),
+                "--laplace-out", str(paths[1]), "--histogram-out", str(paths[2]),
+                "--summary", str(paths[3])])
+    assert code == 3
+    assert "atom at zero" in capsys.readouterr().err
+    assert [p for p in paths if p.exists()] == []
+
+
 def test_limits_fixed_correlation_parseval(tmp_path):
     from math import pi, sqrt
     out = tmp_path / "limits.json"

@@ -15,7 +15,7 @@ from conftest import assert_within_3se, mean_and_se
 from cubefield import increments as inc
 from cubefield import walk
 from cubefield.errors import DomainError, ResourceLimitError
-from cubefield.polynomials import krawtchouk_eval
+from cubefield.polynomials import KrawtchoukBasis, krawtchouk_eval
 
 
 # ---------------------------------------------------------------------------
@@ -455,3 +455,32 @@ def test_increment_pmf_raises_past_the_cap_before_allocating(model):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+EXCHANGEABLE_LAWS = [inc.IIDBernoulli(0.3), inc.DeFinettiDiscrete((0.2, 0.7, 0.95), (0.3, 0.3, 0.4)),
+                     inc.DeFinettiBeta(2.0, 3.0), inc.SymmetricBetaSpin(2.0, 1.0),
+                     inc.SingleFlip(), inc.MFlip(3), inc.RandomSiteHalf()]
+
+
+@pytest.mark.parametrize("model", EXCHANGEABLE_LAWS, ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("N", [3, 20, 64])
+def test_size_law_transforms_to_rho_by_size(model, N):
+    # rho_k = sum_j binom(N,j) pmf_by_size[j] Q_k(j), and by self-duality
+    # binom(N,j) Q_k(j) = binom(N,j) Q_j(k) is the exact integer scaled(j, k)
+    basis = KrawtchoukBasis(N)
+    size_law = [Fraction(p) for p in model.pmf_by_size(N)]
+    rho = inc.rho_by_size(model, N)
+    for k in range(N + 1):
+        exact = sum(p * basis.scaled(j, k) for j, p in enumerate(size_law))
+        assert abs(float(exact) - rho[k]) <= 1e-13, (k, float(exact), rho[k])
+
+
+@pytest.mark.parametrize("model", EXCHANGEABLE_LAWS, ids=lambda m: type(m).__name__)
+def test_increment_pmf_peak_is_its_result_plus_the_popcounts(model):
+    tracemalloc.start()
+    try:
+        pmf = inc.increment_pmf(model, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= pmf.nbytes + (2 << 20)

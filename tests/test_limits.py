@@ -1,10 +1,11 @@
+from fractions import Fraction
 from math import comb, exp, pi, sqrt
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import assert_within_3se, covariance_se, mean_and_se
+from conftest import assert_within_3se, covariance_se, exact_levelset_cov, mean_and_se
 from cubefield import field as fld
 from cubefield import increments as inc
 from cubefield import limits as lm
@@ -47,9 +48,10 @@ def test_levelset_cov_single_term_degenerate():
 @pytest.mark.parametrize("N", [4, 12, 20])
 def test_representation_covariance_matches_closed_form(N):
     spec = walk.GreenSpec(N, inc.SingleFlip(), 0.5)
-    B = lm._representation_matrix(spec, dtype=np.longdouble)
-    closed = lm.levelset_cov_matrix(spec, dtype=np.longdouble)
+    B = lm._representation_matrix(spec)
+    closed = exact_levelset_cov(spec)
     assert float(np.abs(B @ B.T - closed).max()) < 1e-10
+    assert float(np.abs(lm.levelset_cov_matrix(spec) - closed).max()) < 1e-10
 
 
 def test_representation_zero_noise():
@@ -211,6 +213,41 @@ def test_clt_gaps_decrease_and_meet_target():
 def test_scaled_cov_positive_on_diagonal():
     for t in GRID:
         assert lm.scaled_levelset_cov(100, 2.0, t, t) > 0.0
+
+
+@pytest.mark.parametrize("N", [50, 400])
+def test_clt_check_is_the_worst_per_pair_gap(N):
+    ylaw = lm.VanishingKillingY(2.0)
+    worst = max(abs(lm.scaled_levelset_cov(N, 2.0, t, s) - lm.kappa_cov(ylaw, t, s, method="mixture"))
+                for t in GRID for s in GRID)
+    assert lm.levelset_clt_check(2.0, (N,), GRID)[N] == pytest.approx(worst, rel=1e-15, abs=0.0)
+
+
+def test_scaled_cov_grid_equals_pointwise_values():
+    cov = lm.scaled_levelset_cov(100, 2.0, GRID, GRID[1:3])
+    assert cov.shape == (len(GRID), 2)
+    for i, t in enumerate(GRID):
+        for j, s in enumerate(GRID[1:3]):
+            assert cov[i, j] == lm.scaled_levelset_cov(100, 2.0, t, s)
+
+
+def test_scaled_cov_past_the_overflowing_edge_rows_matches_exact_value():
+    # at N = 1100 the edge rows of the weighted Krawtchouk table overflow;
+    # the central row stays finite and accurate, and no warning is raised
+    N, u = 1100, 550
+    weights = walk.GreenSpec(N, inc.SingleFlip(), 1.0 - 2.0 / N).weights
+    # binom(N,k) Q_k(u) is the coefficient of x^k in (1-x)^u (1+x)^(N-u)
+    scaled = np.convolve(np.array([(-1) ** j * comb(u, j) for j in range(u + 1)], dtype=object),
+                         np.array([comb(N - u, j) for j in range(N - u + 1)], dtype=object))
+    total = sum(Fraction(weights[k]) * Fraction(int(scaled[k]) ** 2, comb(N, k))
+                for k in range(N + 1))
+    exact = float(Fraction(N, 4) * Fraction(comb(N, u) ** 2, 4 ** N) * total)
+    assert lm.scaled_levelset_cov(N, 2.0, 0.0, 0.0) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def test_scaled_cov_rejects_grid_points_off_the_levels():
+    with pytest.raises(DomainError):
+        lm.scaled_levelset_cov(100, 2.0, [0.0, 25.0], [0.0])
 
 
 # ---------------------------------------------------------------------------
