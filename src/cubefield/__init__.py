@@ -18,10 +18,10 @@ from .field import (FieldSample, KSpinDraw, SpectralNoise, centered_field,
                     gff_log_density_check, infinite_field_marginal,
                     marginal_average, nested_fields, sample_field_cholesky,
                     sample_field_spectral, sample_random_kspin, spin_sum)
-from .limits import (FixedCorrelation, KappaSpec, MomentOnlyY,
-                     VanishingKillingY, build_kappa_spec, inversion_check,
-                     kappa_cov, kappa_sample, levelset_clt_check,
-                     levelset_cov, levelset_direct, levelset_representation,
+from .limits import (FixedCorrelation, KappaSpec, VanishingKillingY,
+                     build_kappa_spec, inversion_check, kappa_cov,
+                     kappa_sample, levelset_clt_check, levelset_cov,
+                     levelset_direct, levelset_representation,
                      parseval_check, transform_cov, transform_sample)
 from .pointproc import (YLaw, beta_example_density, evolve_measure,
                         joint_sign_laplace, killed_measure_moments,

@@ -603,19 +603,19 @@ class LimitPoissonDirichlet(_Limit):
             raise DomainError("kappa must be positive")
 
     def gap(self, k, N=None, alpha=None):
-        # alternating sum kappa * sum_j (-1)^(j+1) 2^j/j * k_[j] / kappa_(j)
-        total = 0.0
-        falling, rising = 1.0, 1.0
-        for j in range(1, k + 1):
-            falling *= k - j + 1
-            rising *= self.kappa + j - 1
-            total += (-1.0) ** (j + 1) * 2.0 ** j / j * falling / rising
-        return self.kappa * total
+        """b_k = 2 sum_{j<k} E[(1-2w)^j] for w ~ Beta(1, kappa).
+
+        1 - (1-2w)^k = 2w sum_{j<k} (1-2w)^j, and kappa (1-w)^(kappa-1) is the
+        Beta(1, kappa) density, so the defining integral is a partial sum of
+        the DeFinettiBeta(1, kappa) moment table (see DeFinettiBeta.rho).
+        """
+        return 2.0 * fsum(_beta_spin_moments(1.0, float(self.kappa), _table_length(k))[:k])
 
     def mixture(self):
-        from .limits import MomentOnlyY
-        return MomentOnlyY(lambda k: 1.0 / (1.0 + self.gap(k)),
-                           label=f"Poisson-Dirichlet limit, kappa = {self.kappa}")
+        raise DomainError(
+            f"the Poisson-Dirichlet limit (kappa = {self.kappa}) has no finite-variance "
+            "limit process: E[Y^k] = 1/(1 + b_k) decays like 1/(kappa log k), so the "
+            "series for Var(kappa_0) diverges")
 
 
 def _table_length(k: int) -> int:

@@ -19,6 +19,13 @@ the standard bivariate normal density mixed over the correlation Y,
 E[Y^k] = m_k^2.  The Fourier transform kappa_hat has covariance
 e^{-(theta^2+phi^2)/2} E[e^{theta phi Y}]; its real and imaginary parts
 carry the even and odd spectral blocks.
+
+A correlation law here is a law, not a moment sequence: FixedCorrelation
+(a constant in (-1, 1)) or VanishingKillingY (the Beta(gamma/2, 1) limit of
+the killed product).  Each gives kappa a finite variance, so every law the
+types admit has a limit process; the Poisson-Dirichlet regime, whose
+moments decay only like 1/log k, has none and is refused where its law
+would be built (LimitPoissonDirichlet.mixture).
 """
 
 import warnings
@@ -65,12 +72,12 @@ _HERMITE_ENVELOPE = 1.1  # sup_k k^(1/4) |H_k(t)| e^(-t^2/4) / sqrt(k!) is below
 
 @dataclass(frozen=True)
 class FixedCorrelation:
-    """Y identically equal to a constant in (-1, 1]."""
+    """Y identically equal to a constant in (-1, 1); Y = 1 has no limit process."""
     value: float
 
     def __post_init__(self):
-        if not -1.0 < self.value <= 1.0:
-            raise DomainError(f"correlation must lie in (-1, 1], got {self.value}")
+        if not -1.0 < self.value < 1.0:
+            raise DomainError(f"correlation must lie in (-1, 1), got {self.value}")
 
     def moment(self, k: int) -> float:
         return self.value ** k
@@ -141,28 +148,6 @@ class VanishingKillingY:
         return f"Y ~ (gamma/2) y^(gamma/2-1), gamma = {self.gamma}"
 
 
-@dataclass(frozen=True)
-class MomentOnlyY:
-    """A moment sequence E[Y^k] with no usable density (series routes only)."""
-    moments: Callable[[int], float]
-    label: str = "moment sequence"
-
-    def moment(self, k: int) -> float:
-        return float(self.moments(k))
-
-    def expect(self, fn):
-        raise DomainError(f"{self.label} provides moments only, no mixture expectations")
-
-    def gap_laplace(self, lam):
-        raise DomainError(f"{self.label} provides moments only, no mixture expectations")
-
-    def scaled_exp_moment(self, x, log_scale):
-        raise DomainError(f"{self.label} provides moments only, no mixture expectations")
-
-    def describe(self) -> str:
-        return self.label
-
-
 def mixture_from_model(model) -> "CorrelationMixture":
     """The correlation-mixture law attached to a limit-regime increment model."""
     if not model.is_limit:
@@ -170,20 +155,7 @@ def mixture_from_model(model) -> "CorrelationMixture":
     return model.mixture()
 
 
-def mixture_from_product_law(law) -> MomentOnlyY:
-    """Moment adapter for a finite-killing product law (pointproc.YLaw).
-
-    Such laws keep correlation mass at 1 (the no-jump event), so the
-    admissibility check in build_kappa_spec rejects them with a pointer to
-    the limit-regime laws; the adapter exists so that rejection is reachable
-    through the public API.
-    """
-    from .pointproc import moment_Y
-    return MomentOnlyY(lambda k: moment_Y(law, k),
-                       label=f"finite-killing product law (alpha = {law.alpha})")
-
-
-CorrelationMixture = FixedCorrelation | VanishingKillingY | MomentOnlyY
+CorrelationMixture = FixedCorrelation | VanishingKillingY
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +250,12 @@ def build_kappa_spec(ylaw: CorrelationMixture, grid) -> KappaSpec:
     Raise the order in steps of TRUNCATION_STEP until the variance added over
     the whole grid drops below TRUNCATION_REL_TOL relatively, hard cap
     TRUNCATION_CAP, and record an envelope bound on the remaining tail.
-    Moment sequences that do not vanish (a correlation atom at 1) are
-    rejected: the series variance diverges.
+    No admissibility test is needed: each CorrelationMixture gives
+    Var(kappa_t) a convergent series.
     """
     grid = tuple(float(t) for t in grid)
     if not grid:
         raise DomainError("the evaluation grid is empty")
-    if ylaw.moment(4096) > 1e-2:
-        raise DomainError(
-            f"inadmissible moment sequence for {ylaw.describe()}: E[Y^k] does not vanish "
-            "(correlation mass at 1); use a limit-regime law")
     mk = np.array([ylaw.moment(k) for k in range(TRUNCATION_CAP + 1)])
     terms = mk * hermite_weighted_all(TRUNCATION_CAP, grid) ** 2  # rows t, columns k
     starts = np.arange(1, TRUNCATION_CAP + 1, TRUNCATION_STEP)  # first degree of each step
@@ -335,7 +303,7 @@ def bivariate_normal_density(t: float, s: float, rho: float) -> float:
     """Standard bivariate normal density with correlation rho."""
     if not -1.0 < rho < 1.0:
         raise DomainError(f"correlation must lie in (-1, 1), got {rho}")
-    q = (t * t - 2.0 * rho * t * s + s * s) / (1.0 - rho * rho)
+    q = (t * t + s * s - 2.0 * rho * (t * s)) / (1.0 - rho * rho)  # symmetric in (t, s) to the bit
     return exp(-0.5 * q) / (2.0 * pi * sqrt(1.0 - rho * rho))
 
 
@@ -344,7 +312,7 @@ def kappa_cov(ylaw: CorrelationMixture, t: float, s: float,
     """Cov(kappa_t, kappa_s) by either route.
 
     series:  (1/2pi) e^(-(t^2+s^2)/2) sum_{k<=order} E[Y^k] H_k(t) H_k(s) / k!
-    mixture: E[n(t, s; Y)] over the correlation law (needs a density/atom law).
+    mixture: E[n(t, s; Y)] over the correlation law.
 
     The two agree exactly in the limit (the bivariate-normal kernel is the
     closed form of the full series); truncation error of the series route is
@@ -374,10 +342,7 @@ def scaled_levelset_cov(N: int, gamma: float, t, s) -> float | np.ndarray:
     if not 0.0 < gamma < N:
         raise DomainError(f"alpha_N = 1 - gamma/N is outside (0,1) at N = {N}, gamma = {gamma}")
     t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
-    u = (N / 2 + sqrt(N) / 2 * np.atleast_1d(t)).astype(int)
-    v = (N / 2 + sqrt(N) / 2 * np.atleast_1d(s)).astype(int)
-    if not (np.all((0 <= u) & (u <= N)) and np.all((0 <= v) & (v <= N))):
-        raise DomainError(f"scaled index out of range: t={t}, s={s} at N={N}")
+    u, v = _levels(N, t), _levels(N, s)
     B = _representation_matrix(GreenSpec(N, SingleFlip(), 1.0 - gamma / N), scale=sqrt(N) / 2.0)
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
         cov = _finite((B[u][:, None, :] * B[v][None, :, :]).sum(axis=-1),
@@ -385,14 +350,33 @@ def scaled_levelset_cov(N: int, gamma: float, t, s) -> float | np.ndarray:
     return float(cov[0, 0]) if t.ndim == 0 and s.ndim == 0 else cov
 
 
+def _levels(N: int, t: np.ndarray) -> np.ndarray:
+    """The level floor(N/2 + sqrt(N)/2 t) that the scaling reads for each t."""
+    u = (N / 2 + sqrt(N) / 2 * np.atleast_1d(t)).astype(int)
+    if not np.all((0 <= u) & (u <= N)):
+        raise DomainError(f"scaled index out of range: t={t} at N={N}")
+    return u
+
+
 def levelset_clt_check(gamma: float, dims, t_grid) -> dict:
-    """Sup over grid pairs of |finite-N scaled covariance - E[n(t,s;Y)]| per N."""
+    """Sup over grid pairs of |finite-N scaled covariance - E[n(t_u, s_v; Y)]| per N.
+
+    The covariance at (t, s) reads the levels u, v, so it is compared with the
+    limit at t_u = 2(u - N/2)/sqrt(N) and s_v, the points those levels stand
+    for, and not at the nominal t and s: the rounding to a level moves t by
+    up to 2/sqrt(N), which would otherwise swamp the 1/N convergence.
+    """
     ylaw = VanishingKillingY(gamma)
-    t_grid = [float(t) for t in t_grid]
-    limit = np.array([[kappa_cov(ylaw, t, s, method="mixture") for s in t_grid]
-                      for t in t_grid])
-    return {int(N): float(np.abs(scaled_levelset_cov(N, gamma, t_grid, t_grid) - limit).max())
-            for N in dims}
+    t_grid = np.asarray(t_grid, dtype=float)
+    gaps = {}
+    for N in dims:
+        N = int(N)
+        t_read = (2.0 * (_levels(N, t_grid) - N / 2) / sqrt(N)).tolist()
+        limit = np.empty((len(t_read), len(t_read)))
+        for i, j in zip(*np.triu_indices(len(t_read))):  # the mixture is symmetric in (t, s)
+            limit[i, j] = limit[j, i] = kappa_cov(ylaw, t_read[i], t_read[j], method="mixture")
+        gaps[N] = float(np.abs(scaled_levelset_cov(N, gamma, t_grid, t_grid) - limit).max())
+    return gaps
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ of spins cannot underflow.
 """
 
 from dataclasses import dataclass
-from math import comb, exp, inf, log
+from math import comb, exp, expm1, inf, log, log1p
 
 import numpy as np
 from scipy.special import gammaln
@@ -233,6 +233,11 @@ def joint_sign_laplace(law: YLaw, theta: float, sign: int) -> float:
     """E[1{sign(Y_phi) = sign} |Y_phi|^theta] = (h_abs +- h_signed) / 2: E[|Y_phi|^theta]
     and E[sign(Y_phi) |Y_phi|^theta], the resolvents of int |xi|^theta nu and
     int sign(xi) |xi|^theta nu.
+
+    Their deficits d_abs and d_signed differ by 2 nu_-, nu_- the |xi|^theta
+    mass on [-1, 0], so the minus sign is taken without subtracting two close
+    resolvents: h_abs - h_signed = h_abs (1 - (1 + 2c nu_- / (1 + c d_abs))^(-phi)),
+    through expm1 and log1p.
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
@@ -240,9 +245,12 @@ def joint_sign_laplace(law: YLaw, theta: float, sign: int) -> float:
         raise DomainError(f"theta must be >= 0, got {theta}")
     _require_no_zero_atoms(law)
     nu_neg, nu_pos = law.spin.abs_moment_split(theta)
-    h_abs = _resolvent(law, 1.0 - nu_neg - nu_pos)
-    h_signed = _resolvent(law, 1.0 - (nu_pos - nu_neg))
-    return 0.5 * (h_abs + sign * h_signed)
+    d_abs = 1.0 - nu_neg - nu_pos
+    h_abs = _resolvent(law, d_abs)
+    if sign == 1:
+        return 0.5 * (h_abs + _resolvent(law, 1.0 - (nu_pos - nu_neg)))
+    ratio = 2.0 * law.c * nu_neg / (1.0 + law.c * d_abs)
+    return 0.5 * h_abs * -expm1(-law.phi * log1p(ratio))
 
 
 def sign_probability(law: YLaw, sign: int) -> float:

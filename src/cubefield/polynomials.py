@@ -22,10 +22,9 @@ H_{k+1}(t) = t H_k(t) - k H_{k-1}(t), generated by e^{wt - w^2/2}.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, log, sqrt
+from math import comb, sqrt
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 
@@ -98,11 +97,18 @@ def krawtchouk_eval(k: int, w: int, N: int):
 
 
 def binomial_pmf(N: int) -> np.ndarray:
-    """binom(N,k) 2^-N for k = 0..N: exact integers up to EXACT_N_LIMIT, log-gamma beyond."""
-    if N <= EXACT_N_LIMIT:
-        return np.array([comb(N, k) for k in range(N + 1)], dtype=float) * 0.5 ** N
-    k = np.arange(N + 1)
-    return np.exp(gammaln(N + 1) - gammaln(k + 1) - gammaln(N - k + 1) - N * log(2.0))
+    """binom(N,k) 2^-N for k = 0..N, each entry correctly rounded.
+
+    A running exact-integer binom(N,k) divided by the integer 2^N: Python's
+    int / int true division rounds once, so no entry carries more than half
+    an ulp (entries below the float range come out 0.0).
+    """
+    out = np.empty(N + 1)
+    denom, c = 1 << N, 1
+    for k in range(N + 1):
+        out[k] = c / denom
+        c = c * (N - k) // (k + 1)
+    return out
 
 
 def krawtchouk_row(N: int, w: int, max_degree: int | None = None) -> np.ndarray:

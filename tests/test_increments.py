@@ -279,6 +279,31 @@ def test_poisson_dirichlet_b_matches_quadrature(kappa, size):
     assert val == pytest.approx(ref, abs=1e-8)
 
 
+def exact_poisson_dirichlet_gap(kappa, k):
+    """kappa sum_{j=1..k} (-1)^(j+1) 2^j/j binom(k,j) j! / (kappa)_j in exact rationals."""
+    kappa = Fraction(kappa)
+    total, ratio = Fraction(0), Fraction(1)
+    for j in range(1, k + 1):
+        ratio *= Fraction(k - j + 1) / (kappa + j - 1)  # k_[j] / kappa_(j)
+        total += (-1) ** (j + 1) * Fraction(2 ** j, j) * ratio
+    return kappa * total
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 2.5])
+def test_poisson_dirichlet_b_matches_exact_rational_sum(kappa):
+    model = inc.LimitPoissonDirichlet(kappa)
+    for k in (1, 2, 3, 6, 10, 40, 60, 200):
+        exact = exact_poisson_dirichlet_gap(kappa, k)
+        assert abs(Fraction(inc.b_k(model, k, None, None)) - exact) <= 1e-14 * exact, k
+
+
+def test_poisson_dirichlet_b_at_large_subsets():
+    model = inc.LimitPoissonDirichlet(1.0)
+    assert inc.b_subset(model, 2 ** 60 - 1, None, None) == pytest.approx(
+        5.364753694983085, rel=1e-14, abs=0.0)
+    assert np.isfinite(inc.b_k(model, 4096, None, None))
+
+
 def test_limit_models_reject_rho_and_sampling(rng):
     with pytest.raises(DomainError):
         inc.rho_subset(inc.LimitLinear(2.0), 0b1, 4)

@@ -9,7 +9,6 @@ from conftest import assert_within_3se, covariance_se, exact_levelset_cov, mean_
 from cubefield import field as fld
 from cubefield import increments as inc
 from cubefield import limits as lm
-from cubefield import pointproc as pp
 from cubefield import walk
 from cubefield.errors import DomainError, NumericError
 
@@ -120,9 +119,26 @@ def test_kappa_spec_truncation_fixed_law():
 
 
 def test_kappa_spec_rejects_nonvanishing_moments():
-    law = pp.YLaw.from_model(DEFINETTI, 0.5)
-    with pytest.raises(DomainError, match="limit-regime"):
-        lm.build_kappa_spec(lm.mixture_from_product_law(law), GRID)
+    # Y = 1, the one law whose moments do not vanish, has no limit process
+    with pytest.raises(DomainError):
+        lm.FixedCorrelation(1.0)
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 10.0])
+def test_kappa_spec_refuses_the_poisson_dirichlet_regime(kappa):
+    # E[Y^k] = 1/(1 + b_k) decays like 1/log k: Var(kappa_0) diverges
+    with pytest.raises(DomainError, match="finite-variance"):
+        lm.build_kappa_spec(lm.mixture_from_model(inc.LimitPoissonDirichlet(kappa)), GRID)
+
+
+def test_kappa_spec_admits_fast_killing_law():
+    # gamma = 100 keeps E[Y^4096] = 0.012, yet the law has no mass at 1
+    ylaw = lm.VanishingKillingY(100.0)
+    spec = lm.build_kappa_spec(ylaw, GRID)
+    series = lm.kappa_cov(ylaw, 0.0, 0.0, method="series", order=spec.order)
+    mixture = lm.kappa_cov(ylaw, 0.0, 0.0, method="mixture")
+    assert np.isfinite(spec.tail_bound)
+    assert abs(series - mixture) <= spec.tail_bound
 
 
 def test_kappa_degenerate_zero_correlation(rng):
@@ -215,10 +231,21 @@ def test_scaled_cov_positive_on_diagonal():
         assert lm.scaled_levelset_cov(100, 2.0, t, t) > 0.0
 
 
+def test_clt_gaps_fall_like_one_over_n():
+    # compared at the t of the levels read, the gap halves with each doubling of N
+    gaps = lm.levelset_clt_check(2.0, (50, 100, 200, 400), GRID)
+    for N in (50, 100, 200):
+        assert 1.9 <= gaps[N] / gaps[2 * N] <= 2.1, gaps
+
+
 @pytest.mark.parametrize("N", [50, 400])
 def test_clt_check_is_the_worst_per_pair_gap(N):
     ylaw = lm.VanishingKillingY(2.0)
-    worst = max(abs(lm.scaled_levelset_cov(N, 2.0, t, s) - lm.kappa_cov(ylaw, t, s, method="mixture"))
+
+    def read(t):  # the t of the level the scaled covariance reads
+        return 2 * (int(N / 2 + sqrt(N) / 2 * t) - N / 2) / sqrt(N)
+    worst = max(abs(lm.scaled_levelset_cov(N, 2.0, t, s)
+                    - lm.kappa_cov(ylaw, read(t), read(s), method="mixture"))
                 for t in GRID for s in GRID)
     assert lm.levelset_clt_check(2.0, (N,), GRID)[N] == pytest.approx(worst, rel=1e-15, abs=0.0)
 
@@ -445,16 +472,9 @@ def test_parseval_time_side_reports_planar_factor():
     assert closed == pytest.approx(theta_side / (2 * pi), abs=1e-10)
 
 
-def test_mixture_requires_density():
-    law = lm.MomentOnlyY(lambda k: 0.5 ** k)
-    with pytest.raises(DomainError):
-        lm.kappa_cov(law, 0.0, 0.0, method="mixture")
-    assert lm.kappa_cov(law, 0.0, 0.0, method="series", order=100) > 0.0
-
-
 def test_mixture_from_limit_models():
     assert isinstance(lm.mixture_from_model(inc.LimitLinear(2.0)), lm.VanishingKillingY)
-    pd = lm.mixture_from_model(inc.LimitPoissonDirichlet(1.5))
-    assert pd.moment(1) == pytest.approx(1.0 / 3.0, abs=1e-12)  # b_1 = 2
+    with pytest.raises(DomainError, match="finite-variance"):
+        lm.mixture_from_model(inc.LimitPoissonDirichlet(1.5))
     with pytest.raises(DomainError):
         lm.mixture_from_model(inc.SingleFlip())

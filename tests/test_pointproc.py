@@ -177,6 +177,23 @@ def test_joint_sign_laplace_mc(rng):
                       "E[1{Y>0} |Y|^theta]")
 
 
+@pytest.mark.parametrize("alpha, theta, phi", [(0.05, 3.0, 1.0), (0.05, 3.0, 0.5),
+                                               (0.3, 1.0, 1.0)])
+def test_joint_sign_laplace_negative_side_keeps_its_digits(alpha, theta, phi):
+    # the negative split is a difference of two close resolvents; against 200 bits
+    mpmath = pytest.importorskip("mpmath")
+    law = pp.YLaw.from_model(inc.SymmetricBetaSpin(0.7, 3.0), alpha, phi=phi)
+    with mpmath.workprec(200):
+        a, b = mpmath.mpf("0.7"), mpmath.mpf(3)
+        c = mpmath.mpf(alpha) / (1 - mpmath.mpf(alpha))
+        nu = mpmath.beta(a + theta, b) / mpmath.beta(a, b)  # E|xi|^theta, half on each side
+        h_abs = (1 + c * (1 - nu)) ** -phi
+        h_signed = (1 + c) ** -phi  # symmetric spins: the signed integral is 0
+        exact = (h_abs - h_signed) / 2
+        units = abs(pp.joint_sign_laplace(law, theta, -1) - exact) / exact * 2 ** 52
+    assert units <= 4.0
+
+
 def test_sign_probability_examples(rng):
     # vanishing killing with origin start: the product is the single initial +1
     law0 = pp.YLaw.from_model(DISCRETE, 1e-12)

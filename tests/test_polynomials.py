@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from cubefield.errors import DomainError
-from cubefield.polynomials import (KrawtchoukBasis, hermite_all, hermite_eval,
-                                   hermite_weighted_all, krawtchouk_eval,
-                                   krawtchouk_row, krawtchouk_weighted_matrix)
+from cubefield.polynomials import (KrawtchoukBasis, binomial_pmf, hermite_all,
+                                   hermite_eval, hermite_weighted_all,
+                                   krawtchouk_eval, krawtchouk_row,
+                                   krawtchouk_weighted_matrix)
 from cubefield.walsh import fwht, popcounts
 
 
@@ -126,6 +127,14 @@ def test_weighted_row_matches_exact_table():
         r = krawtchouk_weighted_matrix(N)[w]
         exact = np.array([np.sqrt(comb(N, k)) * float(basis.q(k, w)) for k in range(N + 1)])
         assert np.abs(r - exact).max() < 1e-9
+
+
+@pytest.mark.parametrize("N", [65, 400, 1000])
+def test_binomial_pmf_is_correctly_rounded_past_the_exact_tables(N):
+    # Python's int / int true division rounds the exact ratio once
+    pmf = binomial_pmf(N)
+    for k in range(N + 1):
+        assert pmf[k] == comb(N, k) / 2 ** N, k
 
 
 def test_domain_errors():
