@@ -20,7 +20,6 @@ import numpy as np
 
 from . import increments
 from .errors import DomainError, NumericError, ResourceLimitError
-from .increments import SPECTRAL_ENUMERATION_N_LIMIT
 from .walk import GreenSpec, check_vertex, green_matrix_oracle, green_xor_table, transition_matrix
 from .walsh import _fwht_inplace, bit_positions, iter_submasks, popcounts
 
@@ -42,9 +41,7 @@ class SpectralNoise:
 
     @classmethod
     def draw(cls, N: int, rng: np.random.Generator) -> "SpectralNoise":
-        if N > SPECTRAL_ENUMERATION_N_LIMIT:
-            raise ResourceLimitError(
-                f"full noise vectors are capped at N={SPECTRAL_ENUMERATION_N_LIMIT}")
+        increments.check_enumerable(N)
         return cls(N, rng.standard_normal(1 << N))
 
     @classmethod
@@ -68,10 +65,7 @@ def sample_field_spectral(spec: GreenSpec, noise: SpectralNoise) -> FieldSample:
     """Evaluate the linear form at every vertex with one fast transform, O(N 2^N)."""
     if noise.N != spec.N:
         raise DomainError(f"noise dimension {noise.N} != spec dimension {spec.N}")
-    if spec.N > SPECTRAL_ENUMERATION_N_LIMIT:
-        raise ResourceLimitError(
-            f"full-cube sampling is capped at N={SPECTRAL_ENUMERATION_N_LIMIT}, got {spec.N}")
-    values = spec.subset_table()
+    values = spec.subset_table()  # capped at the enumeration limit before it allocates
     np.sqrt(values, out=values)
     values *= noise.values
     _fwht_inplace(values)

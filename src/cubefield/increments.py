@@ -36,6 +36,8 @@ _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 _Y_SETTLED = 2.0 ** -54
 # spin draws per chunk of a product: doubling from the first to the last size
 _FIRST_CHUNK, _LAST_CHUNK = 64, 4096
+# spins, or atom-count cells, per call to the generator in a batch of products
+_SPIN_CHUNK = 1 << 18
 # columns per Markov doubling step: two planes of 2^15 float64 are 512 KiB
 _MARKOV_CHUNK = 1 << 15
 
@@ -130,6 +132,12 @@ class _DeFinetti(IncrementModel):
         Spins are drawn in chunks of 64, 128, ... up to 4096, and the draws
         stop once the flip probability is settled, so cost and memory stay
         bounded at any alpha.
+
+        The size-1 route beside `log_products`, for killed endpoints, which
+        draw one product per call.  Through `log_products` one endpoint draw
+        at N = 50, alpha = 0.999 took 13-20 µs, not 10, for IIDBernoulli;
+        36-41, not 11, for DeFinettiDiscrete; 48-58, not 22, for
+        DeFinettiBeta(2, 3) (2-core Xeon).
         """
         y, size = 1.0, _FIRST_CHUNK
         while steps > 0 and abs(y) > _Y_SETTLED:
@@ -138,6 +146,38 @@ class _DeFinetti(IncrementModel):
             steps -= size
             size = min(2 * size, _LAST_CHUNK)
         return y
+
+    def log_products(self, counts: np.ndarray, rng: np.random.Generator):
+        """(sign, log|Y|) per row for Y_i the product of `counts[i]` fresh spins.
+
+        The spins are drawn in chunks of 2^18 and each row's logs are summed
+        within its own segment, in draw order; a row longer than a chunk adds
+        up its chunk sums.  The error of log|Y| grows with that row's own
+        spin count, never with the rows drawn before it.  Memory is O(rows)
+        plus O(2^18) per chunk; time is O(rows + sum counts).  A row holding
+        a zero spin gets sign 0 and log-magnitude -inf.
+
+        The batch route beside `_product`, for Y in batches of 10^5-10^6
+        rows; single draws stay on `_product`, 1.3-4x faster at one row.
+        """
+        signs, logs = np.ones(counts.shape), np.zeros(counts.shape)
+        ends = np.cumsum(counts)
+        total = int(counts.sum())
+        for lo in range(0, total, _SPIN_CHUNK):
+            hi = min(lo + _SPIN_CHUNK, total)
+            draws = np.asarray(self.sample(rng, size=hi - lo), dtype=float)
+            # rows first..last own draws lo..hi-1; seg counts each one's share
+            first = int(np.searchsorted(ends, lo, side="right"))
+            last = int(np.searchsorted(ends, hi - 1, side="right"))
+            seg = np.diff(np.minimum(ends[first:last + 1], hi) - lo, prepend=0)
+            row = np.repeat(np.arange(seg.size), seg)
+            odd = np.bincount(row[draws < 0.0], minlength=seg.size) & 1
+            signs[first:last + 1] *= 1.0 - 2.0 * odd
+            with np.errstate(divide="ignore"):
+                np.log(np.abs(draws, out=draws), out=draws)
+            logs[first:last + 1] += np.bincount(row, weights=draws, minlength=seg.size)
+        signs[np.isneginf(logs)] = 0.0
+        return signs, logs
 
     def moment(self, k: int) -> float:
         """E[xi^k] = rho_k."""
@@ -195,6 +235,35 @@ class _PointMasses(_DeFinetti):
             # the sign from the integer count: float(n) loses the parity past 2^53
             y *= (-1.0 if x < 0 and n & 1 else 1.0) * abs(x) ** n
         return y
+
+    def log_products(self, counts, rng):
+        """(sign, log|Y|) per row for Y_i the product of `counts[i]` fresh spins.
+
+        No spin is drawn: the spins of row i fall on the atoms x_a as n ~
+        Multinomial(counts[i], weights), so log|Y| = sum_a n_a log|x_a| and
+        the sign is the parity of the integer counts on negative atoms.  With
+        one atom log|Y| is the single rounded product counts[i] * log|x|,
+        within half an ulp of it; with A atoms, A rounded products summed.
+        Rows go to the generator in blocks of 2^18 count cells, so time and
+        memory are O(rows) at any alpha.  A row holding a zero spin gets
+        sign 0 and log-magnitude -inf.
+        """
+        signs, logs = np.ones(counts.shape), np.zeros(counts.shape)
+        points = np.array([x for x, _ in self._spins])
+        negative, zero = points < 0.0, points == 0.0
+        log_abs = np.log(np.abs(np.where(zero, 1.0, points)))  # zero atoms are flagged apart
+        rows = max(1, _SPIN_CHUNK // points.size)
+        for lo in range(0, counts.size, rows):
+            hi = min(lo + rows, counts.size)
+            n = rng.multinomial(counts[lo:hi], self.weights)
+            np.matmul(n, log_abs, out=logs[lo:hi])
+            odd = n[:, negative].sum(axis=1) & 1
+            np.subtract(1.0, 2.0 * odd, out=signs[lo:hi])
+            if zero.any():
+                hit = n[:, zero].any(axis=1)
+                signs[lo:hi][hit] = 0.0
+                logs[lo:hi][hit] = -np.inf
+        return signs, logs
 
     def _no_zero_atom(self, theta):
         if theta > 0 and self.has_atom_at_zero():

@@ -16,12 +16,13 @@ The phi-th convolution root Y_phi (negative-binomial point process, seen
 as a mixed Poisson process) satisfies E[Y_phi^k] = E[Y^k]^phi; every
 closed form below is (1 + c (1 - m))^(-phi) of one spin expectation m.
 
-Samplers work on (sign, log|Y|) pairs internally so products of hundreds
-of spins cannot underflow.
+This module draws T and holds the closed forms; the spin law itself
+multiplies its spins (`log_products` in increments), as (sign, log|Y|)
+pairs so products of hundreds of spins cannot underflow.
 """
 
 from dataclasses import dataclass
-from math import comb, exp, expm1, inf, log, log1p
+from math import comb, exp, expm1, log, log1p
 
 import numpy as np
 from scipy.special import gammaln
@@ -29,8 +30,6 @@ from scipy.special import gammaln
 from . import increments
 from .errors import DomainError
 from .walk import GreenSpec, green_spectral
-
-_SPIN_CHUNK = 1 << 18  # spins, or atom-count cells, per call to the generator
 
 # ---------------------------------------------------------------------------
 # spin measures: the de Finetti increment models themselves
@@ -69,8 +68,7 @@ class YLaw:
     phi: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must be in (0,1), got {self.alpha}")
+        increments._killing_c(self.alpha)
         if self.phi <= 0:
             raise DomainError(f"phi must be positive, got {self.phi}")
 
@@ -80,7 +78,7 @@ class YLaw:
 
     @property
     def c(self) -> float:
-        return self.alpha / (1.0 - self.alpha)
+        return increments._killing_c(self.alpha)
 
 
 def _resolvent(law: YLaw, deficit: float) -> float:
@@ -101,8 +99,8 @@ def sample_Y_signed_log(law: YLaw, rng: np.random.Generator,
     """(sign, log|Y|) pairs for the geometric (phi = 1) construction.
 
     sign is in {-1, 0, +1}; a zero spin gives sign 0 and log|Y| = -inf.
-    T is drawn by inversion, then the product of T spins as in
-    `_product_batches`.
+    T is drawn by inversion, then the product of T spins by the spin law's
+    `log_products`.
     """
     if law.phi != 1.0:
         raise DomainError("the geometric construction is the phi = 1 law; use sample_Y_phi")
@@ -112,72 +110,7 @@ def sample_Y_signed_log(law: YLaw, rng: np.random.Generator,
     u /= log(law.alpha)
     counts = np.floor(u, out=u).astype(np.int64)
     del u
-    return _product_batches(law.spin, counts, rng)
-
-
-def _product_batches(spin, counts, rng):
-    """Per-row (sign, log-magnitude) of products of `counts[i]` fresh spins.
-
-    Point-mass laws (IIDBernoulli, DeFinettiDiscrete) draw no spins: the
-    spins of row i fall on the atoms x_a as n ~ Multinomial(counts[i],
-    weights), so log|Y| = sum_a n_a log|x_a| and the sign is the parity of
-    the integer counts on negative atoms.  With one atom log|Y| is the
-    single rounded product counts[i] * log|x|, within half an ulp of it;
-    with A atoms, A rounded products summed.  Rows go to the generator in
-    blocks of 2^18 count cells, so time and memory are O(size) at any alpha.
-
-    Continuous laws (DeFinettiBeta, SymmetricBetaSpin) draw the spins in
-    chunks of 2^18 and sum each row's logs within its own segment, in draw
-    order; a row longer than a chunk adds up its chunk sums.  The error of
-    log|Y| grows with that row's own spin count, never with the rows drawn
-    before it.  Memory is O(size) plus O(2^18) per chunk; time is
-    O(size + sum counts).
-
-    A row holding a zero spin gets sign 0 and log-magnitude -inf.
-    """
-    signs = np.ones(counts.shape)
-    logs = np.zeros(counts.shape)
-    if isinstance(spin, increments.IIDBernoulli | increments.DeFinettiDiscrete):
-        _atom_count_products(spin, counts, rng, signs, logs)
-    else:
-        _chunked_products(spin, counts, rng, signs, logs)
-    return signs, logs
-
-
-def _atom_count_products(spin, counts, rng, signs, logs):
-    points = np.array([1.0 - 2.0 * a for a in spin.atoms])
-    negative, zero = points < 0.0, points == 0.0
-    log_abs = np.log(np.abs(np.where(zero, 1.0, points)))  # zero atoms are flagged apart
-    rows = max(1, _SPIN_CHUNK // points.size)
-    for lo in range(0, counts.size, rows):
-        hi = min(lo + rows, counts.size)
-        n = rng.multinomial(counts[lo:hi], spin.weights)
-        np.matmul(n, log_abs, out=logs[lo:hi])
-        odd = n[:, negative].sum(axis=1) & 1
-        np.subtract(1.0, 2.0 * odd, out=signs[lo:hi])
-        if zero.any():
-            hit = n[:, zero].any(axis=1)
-            signs[lo:hi][hit] = 0.0
-            logs[lo:hi][hit] = -inf
-
-
-def _chunked_products(spin, counts, rng, signs, logs):
-    ends = np.cumsum(counts)
-    total = int(counts.sum())
-    for lo in range(0, total, _SPIN_CHUNK):
-        hi = min(lo + _SPIN_CHUNK, total)
-        draws = np.asarray(spin.sample(rng, size=hi - lo), dtype=float)
-        # rows first..last own draws lo..hi-1; seg counts each one's share
-        first = int(np.searchsorted(ends, lo, side="right"))
-        last = int(np.searchsorted(ends, hi - 1, side="right"))
-        seg = np.diff(np.minimum(ends[first:last + 1], hi) - lo, prepend=0)
-        row = np.repeat(np.arange(seg.size), seg)
-        odd = np.bincount(row[draws < 0.0], minlength=seg.size) & 1
-        signs[first:last + 1] *= 1.0 - 2.0 * odd
-        with np.errstate(divide="ignore"):
-            np.log(np.abs(draws, out=draws), out=draws)
-        logs[first:last + 1] += np.bincount(row, weights=draws, minlength=seg.size)
-    signs[np.isneginf(logs)] = 0.0
+    return law.spin.log_products(counts, rng)
 
 
 def _signed_exp(signs, logs, size):
@@ -192,11 +125,11 @@ def sample_Y(law: YLaw, rng: np.random.Generator, size: int | None = None):
 
     Route: T by inversion of a uniform, the product of T spins from the
     atom counts (point-mass laws) or from chunked spin draws (continuous
-    laws), then sign * exp(log|Y|); see `_product_batches`.  The tracemalloc
-    peak is a few arrays of `size` floats plus O(2^18) per chunk, at any
-    alpha: 10^6 draws of DeFinettiDiscrete((0.2, 0.9), (0.5, 0.5)) at
-    alpha = 0.75 stay under 32 MiB.  With one atom x, log|Y| is within half
-    an ulp of T log|x|.
+    laws), then sign * exp(log|Y|); see the spin law's `log_products`.  The
+    tracemalloc peak is a few arrays of `size` floats plus O(2^18) per
+    chunk, at any alpha: 10^6 draws of DeFinettiDiscrete((0.2, 0.9),
+    (0.5, 0.5)) at alpha = 0.75 stay under 32 MiB.  With one atom x, log|Y|
+    is within half an ulp of T log|x|.
     """
     n = 1 if size is None else size
     return _signed_exp(*sample_Y_signed_log(law, rng, n), size)
@@ -211,7 +144,7 @@ def sample_Y_phi(law: YLaw, rng: np.random.Generator, size: int | None = None):
     n = 1 if size is None else size
     lam = rng.gamma(law.phi, size=n)
     counts = rng.poisson(lam * law.c)
-    return _signed_exp(*_product_batches(law.spin, counts.astype(np.int64), rng), size)
+    return _signed_exp(*law.spin.log_products(counts.astype(np.int64), rng), size)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +223,7 @@ class EvolvedMeasure:
         """psi_t by the product engine of `sample_Y` with every row's count t."""
         n = 1 if size is None else size
         counts = np.full(n, self.steps, dtype=np.int64)
-        return _signed_exp(*_product_batches(self.spin, counts, rng), size)
+        return _signed_exp(*self.spin.log_products(counts, rng), size)
 
 
 def evolve_measure(spin: SpinMeasure, t: int) -> EvolvedMeasure:
@@ -360,8 +293,7 @@ def beta_example_density(a: float, alpha: float, zeta: float) -> float:
     """
     if a <= 0:
         raise DomainError(f"shape must be positive, got {a}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0,1), got {alpha}")
+    increments._killing_c(alpha)
     z = abs(zeta)
     if z >= 1.0 or z == 0.0:
         return 0.0
@@ -395,8 +327,7 @@ def beta_killed_product_sample(a: float, b: int, alpha: float,
     """
     if b < 1 or b != int(b):
         raise DomainError(f"b must be a positive integer, got {b}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0,1), got {alpha}")
+    increments._killing_c(alpha)
     n = 1 if size is None else size
     u = 1.0 - rng.random(n)
     t = np.floor(np.log(u) / log(alpha))

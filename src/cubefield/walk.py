@@ -49,14 +49,13 @@ class GreenSpec:
     def __post_init__(self):
         if self.N < 1:
             raise DomainError(f"dimension must be >= 1, got {self.N}")
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must be in (0,1), got {self.alpha}")
+        increments._killing_c(self.alpha)
         if self.model.is_limit:
             raise DomainError("limit-regime models have no finite-N walk")
 
     @property
     def c(self) -> float:
-        return self.alpha / (1.0 - self.alpha)
+        return increments._killing_c(self.alpha)
 
     @cached_property
     def rho(self) -> np.ndarray:

@@ -204,6 +204,24 @@ def test_flip_probability_rounding(name, monkeypatch):
     assert worst <= Fraction(1, 2 ** 52), float(worst * 2 ** 53)
 
 
+ENGINE_LAWS = {name: LAWS[name] for name in ("iid-bernoulli", "definetti-discrete",
+                                            "definetti-beta")}
+
+
+@pytest.mark.parametrize("name", ENGINE_LAWS)
+def test_size_one_and_batch_products_agree(name):
+    # on a copy of one generator both routes draw the same multinomial counts,
+    # or, below the first chunk of 64 where the size-1 route cannot stop
+    # early, the same spins in one call
+    model = ENGINE_LAWS[name]
+    steps_rng = np.random.default_rng(_seed("engines", name))
+    for seed in range(200):
+        steps = int(steps_rng.integers(64))
+        y = model._product(steps, np.random.default_rng(seed))
+        signs, logs = model.log_products(np.array([steps]), np.random.default_rng(seed))
+        assert signs[0] * np.exp(logs[0]) == pytest.approx(y, rel=1e-12, abs=0.0), (seed, steps)
+
+
 def test_point_mass_sign_past_float_integers():
     # float(2^60 + 1) is even; an all-flip step taken 2^60 + 1 times flips every site
     rng = np.random.default_rng(3)

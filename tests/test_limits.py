@@ -167,6 +167,15 @@ def test_mehler_series_equals_mixture(rho):
             assert abs(series - mixture) < 1e-8, f"(t,s)=({t},{s})"
 
 
+@pytest.mark.parametrize("method", ["series", "mixture"])
+def test_kappa_cov_numpy_scalars_equal_floats(method):
+    ylaw = lm.VanishingKillingY(2.0)
+    for t, s in [(0.0, 0.0), (0.75, -1.5), (-0.3, 0.5)]:
+        plain = lm.kappa_cov(ylaw, t, s, method=method, order=64)
+        numpy = lm.kappa_cov(ylaw, np.float64(t), np.float64(s), method=method, order=64)
+        assert type(numpy) is float and numpy == plain
+
+
 def test_slow_moment_series_within_reported_tail_bound():
     ylaw = lm.VanishingKillingY(3.0)
     spec = lm.build_kappa_spec(ylaw, GRID)

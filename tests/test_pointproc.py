@@ -326,7 +326,7 @@ def test_atom_count_blocks_do_not_change_the_draws(monkeypatch):
     # the multinomial draws row by row, so any block size gives the same stream
     law = pp.YLaw.from_model(DISCRETE, 0.9)
     whole = pp.sample_Y_signed_log(law, np.random.default_rng(3), 5000)
-    monkeypatch.setattr(pp, "_SPIN_CHUNK", 7)
+    monkeypatch.setattr(inc, "_SPIN_CHUNK", 7)
     blocked = pp.sample_Y_signed_log(law, np.random.default_rng(3), 5000)
     assert np.array_equal(whole[0], blocked[0]) and np.array_equal(whole[1], blocked[1])
 
@@ -335,7 +335,7 @@ def test_atom_count_blocks_do_not_change_the_draws(monkeypatch):
 def test_chunked_spins_match_per_row_products(monkeypatch, chunk):
     # DeFinettiBeta draws its spins in sequence, so the chunked rows can be
     # rebuilt from one draw of all spins on a copy of the generator
-    monkeypatch.setattr(pp, "_SPIN_CHUNK", chunk)
+    monkeypatch.setattr(inc, "_SPIN_CHUNK", chunk)
     alpha, n = 0.8, 400
     law = pp.YLaw.from_model(inc.DeFinettiBeta(1.5, 2.5), alpha)
     signs, logs = pp.sample_Y_signed_log(law, np.random.default_rng(9), n)
