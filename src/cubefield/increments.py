@@ -19,10 +19,11 @@ Generator, so instances are safe to share across threads.
 
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import comb, exp, fsum, isclose, log
 
 import numpy as np
-from scipy.special import betainc, betaln, gammaln, roots_jacobi
+from scipy.special import betaln, gammaln, roots_jacobi
 
 from .errors import DomainError, ResourceLimitError
 from .polynomials import krawtchouk_eval
@@ -99,8 +100,8 @@ class _DeFinetti(IncrementModel):
     is_definetti = True
 
     def sample_Z(self, N: int, rng: np.random.Generator) -> int:
-        omega = self.omega(rng)
-        return _mask(rng.random(N) < omega)
+        xi = self.sample(rng)  # the spin before the N uniforms: the stream order
+        return _mask(rng.random(N) < 0.5 * (1.0 - xi))
 
     def sample_displacement(self, N: int, steps: int, rng: np.random.Generator) -> int:
         """The XOR of `steps` i.i.d. increments, in one draw.
@@ -179,10 +180,6 @@ class _DeFinetti(IncrementModel):
         signs[np.isneginf(logs)] = 0.0
         return signs, logs
 
-    def moment(self, k: int) -> float:
-        """E[xi^k] = rho_k."""
-        return rho_k(self, k)
-
     def has_atom_at_zero(self) -> bool:
         return False
 
@@ -204,19 +201,13 @@ class _PointMasses(_DeFinetti):
             out += w * a ** j * (1.0 - a) ** (N - j)
         return out
 
-    def abs_moment(self, theta):
-        self._no_zero_atom(theta)
-        return sum(w * abs(x) ** theta for x, w in self._spins)
-
     def abs_moment_split(self, theta):
-        """(integral over [-1,0], integral over (0,1]) of |xi|^theta."""
-        self._no_zero_atom(theta)
+        """(integral over [-1,0], integral over (0,1]) of |xi|^theta: at theta = 0, the masses."""
+        if theta > 0 and self.has_atom_at_zero():
+            raise DomainError("measure has an atom at zero; |xi|^theta integrals undefined")
         neg = sum(w * abs(x) ** theta for x, w in self._spins if x <= 0)
         pos = sum(w * x ** theta for x, w in self._spins if x > 0)
         return neg, pos
-
-    def mass_nonpositive(self):
-        return sum(w for x, w in self._spins if x <= 0)
 
     def has_atom_at_zero(self):
         return any(w > 0 and x == 0.0 for x, w in self._spins)
@@ -225,8 +216,18 @@ class _PointMasses(_DeFinetti):
         return any(w > 0 and a >= 1.0 - 1e-15 for a, w in zip(self.atoms, self.weights))
 
     def sample(self, rng, size=None):
-        points, weights = zip(*self._spins)
-        return rng.choice(points, p=weights, size=size)
+        # Generator.choice's own lookup (same uniforms, same atoms), without checking p per call
+        return self._points[self._cdf.searchsorted(rng.random(size), side="right")]
+
+    @cached_property
+    def _points(self):
+        return np.array([x for x, _ in self._spins])
+
+    @cached_property
+    def _cdf(self):
+        cdf = np.cumsum(self.weights)
+        cdf /= cdf[-1]
+        return cdf
 
     def _product(self, steps, rng):
         """Y = prod_a xi_a^(n_a) with n ~ Multinomial(steps, weights): cost independent of steps."""
@@ -249,7 +250,7 @@ class _PointMasses(_DeFinetti):
         sign 0 and log-magnitude -inf.
         """
         signs, logs = np.ones(counts.shape), np.zeros(counts.shape)
-        points = np.array([x for x, _ in self._spins])
+        points = self._points
         negative, zero = points < 0.0, points == 0.0
         log_abs = np.log(np.abs(np.where(zero, 1.0, points)))  # zero atoms are flagged apart
         rows = max(1, _SPIN_CHUNK // points.size)
@@ -265,10 +266,6 @@ class _PointMasses(_DeFinetti):
                 logs[lo:hi][hit] = -np.inf
         return signs, logs
 
-    def _no_zero_atom(self, theta):
-        if theta > 0 and self.has_atom_at_zero():
-            raise DomainError("measure has an atom at zero; |xi|^theta integrals undefined")
-
 
 @dataclass(frozen=True)
 class IIDBernoulli(_PointMasses):
@@ -281,8 +278,9 @@ class IIDBernoulli(_PointMasses):
         if not 0.0 <= self.p <= 1.0:
             raise DomainError(f"p must be in [0,1], got {self.p}")
 
-    def omega(self, rng):
-        return self.p
+    def sample(self, rng, size=None):
+        """The constant spin 1 - 2p; nothing is drawn from rng."""
+        return 1.0 - 2.0 * self.p if size is None else np.full(size, 1.0 - 2.0 * self.p)
 
 
 @dataclass(frozen=True)
@@ -300,17 +298,6 @@ class DeFinettiDiscrete(_PointMasses):
             raise DomainError("atoms must lie in [0,1]")
         if any(w < 0 for w in self.weights) or not isclose(sum(self.weights), 1.0, abs_tol=1e-12):
             raise DomainError("weights must be nonnegative and sum to 1")
-
-    def omega(self, rng):
-        # Generator.choice's own inverse-CDF lookup (same uniform, same atom),
-        # without validating and copying the weights on every draw
-        return self.atoms[int(self._cdf.searchsorted(rng.random(), side="right"))]
-
-    @cached_property
-    def _cdf(self):
-        cdf = np.cumsum(self.weights)
-        cdf /= cdf[-1]
-        return cdf
 
 
 @dataclass(frozen=True)
@@ -343,18 +330,11 @@ class DeFinettiBeta(_DeFinetti):
         recurrence gives the same prefix at any table length, so a value
         does not depend on which sizes were asked for before.
         """
-        return _beta_spin_moments(float(self.a), float(self.b), _table_length(k))[k]
+        return _beta_spin_moments(float(self.a), float(self.b), _table_length(k)).item(k)
 
     def pmf_by_size(self, N):
         j = np.arange(N + 1)
         return np.exp(betaln(self.a + j, self.b + N - j) - betaln(self.a, self.b))
-
-    def omega(self, rng):
-        return float(rng.beta(self.a, self.b))
-
-    def abs_moment(self, theta):
-        neg, pos = self.abs_moment_split(theta)
-        return neg + pos
 
     def abs_moment_split(self, theta):
         from scipy.integrate import quad  # ~290 modules: loaded only where something integrates
@@ -370,9 +350,6 @@ class DeFinettiBeta(_DeFinetti):
         ln = (self.a - 1) * log(w) + (self.b - 1) * log(1 - w) \
             - (gammaln(self.a) + gammaln(self.b) - gammaln(self.a + self.b))
         return exp(ln)
-
-    def mass_nonpositive(self):
-        return 1.0 - float(betainc(self.a, self.b, 0.5))
 
     def sample(self, rng, size=None):
         return 1.0 - 2.0 * rng.beta(self.a, self.b, size=size)
@@ -394,7 +371,7 @@ class SymmetricBetaSpin(_DeFinetti):
     def rho(self, k, N=None):
         if k % 2 == 1:
             return 0.0
-        return _beta_moments(float(self.a), float(self.b), _table_length(k))[k]
+        return _beta_moments(float(self.a), float(self.b), _table_length(k)).item(k)
 
     def pmf_by_size(self, N):
         j = np.arange(N + 1)
@@ -408,21 +385,11 @@ class SymmetricBetaSpin(_DeFinetti):
             out += 0.5 * w * (lo ** j * hi ** (N - j) + hi ** j * lo ** (N - j))
         return out
 
-    def omega(self, rng):
-        xi = rng.beta(self.a, self.b) * (1.0 if rng.random() < 0.5 else -1.0)
-        return float((1.0 - xi) / 2.0)
-
-    def abs_moment(self, theta):
-        # E[R^theta] = Gamma(a+theta)Gamma(a+b) / (Gamma(a+b+theta)Gamma(a))
-        return exp(gammaln(self.a + theta) + gammaln(self.a + self.b)
-                   - gammaln(self.a + self.b + theta) - gammaln(self.a))
-
     def abs_moment_split(self, theta):
-        half = 0.5 * self.abs_moment(theta)
+        """E[R^theta] = Gamma(a+theta) Gamma(a+b) / (Gamma(a+b+theta) Gamma(a)), half a side."""
+        a, ab = self.a, self.a + self.b
+        half = 0.5 * exp(gammaln(a + theta) - gammaln(a) - (gammaln(ab + theta) - gammaln(ab)))
         return half, half
-
-    def mass_nonpositive(self):
-        return 0.5
 
     def sample(self, rng, size=None):
         r = rng.beta(self.a, self.b, size=size)
@@ -676,9 +643,10 @@ class LimitPoissonDirichlet(_Limit):
 
         1 - (1-2w)^k = 2w sum_{j<k} (1-2w)^j, and kappa (1-w)^(kappa-1) is the
         Beta(1, kappa) density, so the defining integral is a partial sum of
-        the DeFinettiBeta(1, kappa) moment table (see DeFinettiBeta.rho).
+        the DeFinettiBeta(1, kappa) moments (DeFinettiBeta.rho): one cached running sum.
         """
-        return 2.0 * fsum(_beta_spin_moments(1.0, float(self.kappa), _table_length(k))[:k])
+        sums = _beta_spin_moments(1.0, float(self.kappa), _table_length(k - 1), True)
+        return 2.0 * sums.item(k - 1) if k else 0.0
 
     def mixture(self):
         raise DomainError(
@@ -692,23 +660,33 @@ def _table_length(k: int) -> int:
     return 1 << k.bit_length()
 
 
-@lru_cache(maxsize=32)
-def _beta_spin_moments(a: float, b: float, length: int) -> tuple:
-    """E[xi^n] for n < length, xi = 1 - 2w with w ~ Beta(a, b): see DeFinettiBeta.rho."""
-    moments = [1.0, (b - a) / (a + b)]
-    for n in range(1, length - 1):
-        moments.append(((b - a) * moments[n] + n * moments[n - 1]) / (a + b + n))
-    return tuple(moments)
+def _spin_moments(a: float, b: float):
+    """E[xi^n] for n = 0, 1, ..., xi = 1 - 2w with w ~ Beta(a, b): see DeFinettiBeta.rho."""
+    prev, cur, n = 1.0, (b - a) / (a + b), 1.0
+    yield prev
+    while True:  # n counts in floats, exact below 2^53: no int object per step
+        yield cur
+        prev, cur = cur, ((b - a) * cur + n * prev) / (a + b + n)
+        n += 1.0
 
 
 @lru_cache(maxsize=32)
-def _beta_moments(a: float, b: float, length: int) -> tuple:
-    """E[R^n] = prod_{i<n} (a+i)/(a+b+i) for n < length, R ~ Beta(a, b)."""
-    moments, val = [1.0], 1.0
-    for i in range(length - 1):
-        val *= (a + i) / (a + b + i)
-        moments.append(val)
-    return tuple(moments)
+def _beta_spin_moments(a: float, b: float, length: int, summed: bool = False) -> np.ndarray:
+    """E[xi^n] for n < length, xi = 1 - 2w with w ~ Beta(a, b); if summed, the running
+    sums sum_{j<=n} E[xi^j], added in order (as np.cumsum would), without the moments."""
+    moments = _spin_moments(a, b)
+    table = np.fromiter(accumulate(moments) if summed else moments, float, length)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=32)
+def _beta_moments(a: float, b: float, length: int) -> np.ndarray:
+    """E[R^n] = prod_{i<n} (a+i)/(a+b+i) for n < length, R ~ Beta(a, b), as a running product."""
+    i = np.arange(length - 1)
+    table = np.cumprod(np.concatenate(([1.0], (a + i) / (a + b + i))))
+    table.flags.writeable = False
+    return table
 
 
 def _mask(bits: np.ndarray) -> int:
@@ -787,7 +765,7 @@ def sample_spin_xi(model, rng: np.random.Generator) -> float:
     """One draw of the spin xi = 1 - 2*omega in [-1, 1]."""
     if not model.is_definetti:
         raise DomainError(f"{type(model).__name__} has no mixing measure")
-    return 1.0 - 2.0 * model.omega(rng)
+    return float(model.sample(rng))
 
 
 def sample_Z(model, N: int, rng: np.random.Generator) -> int:
@@ -829,7 +807,7 @@ _KEY_ALIASES = {"m": "M"}  # reports print MFlip's flip count as "M"
 
 
 def model_from_dict(spec: dict) -> IncrementModel:
-    """Build a model from a JSON-style dict, e.g. {"model": "mflip", "M": 2}."""
+    """Build a model from a JSON-style dict, e.g. {"model": "mflip", "M": 2}; extra keys raise."""
     if "model" not in spec:
         raise DomainError("model spec needs a 'model' key")
     name = str(spec["model"]).lower().replace("_", "-")
@@ -837,6 +815,8 @@ def model_from_dict(spec: dict) -> IncrementModel:
     if cls is None:
         raise DomainError(f"unknown model name {spec['model']!r}; known: {sorted(_MODEL_NAMES)}")
     lowered = {k.lower(): v for k, v in spec.items() if k != "model"}
+    if extra := sorted(lowered.keys() - {f.name for f in fields(cls)}):
+        raise DomainError(f"model {name!r} takes no parameter {', '.join(extra)}")
     try:
         return cls(**{f.name: f.type(lowered[f.name]) for f in fields(cls)})
     except KeyError as missing:

@@ -91,7 +91,7 @@ def moment_Y(law: YLaw, k: int) -> float:
     """E[Y_phi^k] = (1 + c (1 - rho_k))^(-phi)."""
     if k < 0:
         raise DomainError(f"moment order must be >= 0, got {k}")
-    return _resolvent(law, 1.0 - law.spin.moment(k))
+    return _resolvent(law, 1.0 - increments.rho_k(law.spin, k))
 
 
 def sample_Y_signed_log(law: YLaw, rng: np.random.Generator,
@@ -159,7 +159,7 @@ def laplace_neg_log_abs(law: YLaw, theta: float) -> float:
     if theta < 0:
         raise DomainError(f"theta must be >= 0, got {theta}")
     _require_no_zero_atoms(law)
-    return _resolvent(law, 1.0 - law.spin.abs_moment(theta))
+    return _resolvent(law, 1.0 - sum(law.spin.abs_moment_split(theta)))
 
 
 def joint_sign_laplace(law: YLaw, theta: float, sign: int) -> float:
@@ -197,7 +197,7 @@ def sign_probability(law: YLaw, sign: int) -> float:
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
     _require_no_zero_atoms(law)
-    return 0.5 * (1.0 + sign * _resolvent(law, 2.0 * law.spin.mass_nonpositive()))
+    return 0.5 * (1.0 + sign * _resolvent(law, 2.0 * law.spin.abs_moment_split(0.0)[0]))
 
 
 def _require_no_zero_atoms(law: YLaw):
@@ -217,7 +217,7 @@ class EvolvedMeasure:
 
     def moment(self, k: int) -> float:
         """E[psi_t^k] = (int xi^k nu)^t."""
-        return self.spin.moment(k) ** self.steps
+        return increments.rho_k(self.spin, k) ** self.steps
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """psi_t by the product engine of `sample_Y` with every row's count t."""

@@ -60,6 +60,14 @@ def test_domain_error_exits_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_parameter_the_model_lacks_exits_3(tmp_path, capsys):
+    code = run(["green", "--model", "single-flip", "--p", "0.3", "--N", "3", "--alpha", "0.5",
+                "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert "takes no parameter p" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_missing_model_exits_3(tmp_path):
     code = run(["green", "--N", "3", "--alpha", "0.5", "--out", str(tmp_path / "x.csv")])
     assert code == 3

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import betaln
+from scipy.special import betainc, betaln
 
 from conftest import assert_within_3se, mean_and_se
 from cubefield import increments as inc
@@ -304,6 +304,27 @@ def test_poisson_dirichlet_b_at_large_subsets():
     assert np.isfinite(inc.b_k(model, 4096, None, None))
 
 
+def test_poisson_dirichlet_gaps_take_constant_time():
+    model = inc.LimitPoissonDirichlet(1.0)
+    inc._beta_spin_moments.cache_clear()
+    start = time.perf_counter()
+    gaps = [model.gap(k) for k in range(16_385)]
+    assert time.perf_counter() - start < 0.5
+    assert all(type(g) is float for g in gaps) and gaps[0] == 0.0
+
+
+def test_poisson_dirichlet_gap_table_is_compact():
+    inc._beta_spin_moments.cache_clear()
+    tracemalloc.start()
+    try:
+        assert np.isfinite(inc.LimitPoissonDirichlet(1.0).gap(2 ** 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        inc._beta_spin_moments.cache_clear()
+    assert peak < 16 * 2 ** 20
+
+
 def test_limit_models_reject_rho_and_sampling(rng):
     with pytest.raises(DomainError):
         inc.rho_subset(inc.LimitLinear(2.0), 0b1, 4)
@@ -334,12 +355,40 @@ def test_sample_Z_definetti_mc(rng):
     assert_within_3se(est, inc.rho_k(model, 1, 5), se, "single-site spin mean")
 
 
-def test_discrete_omega_is_generator_choice():
+def test_discrete_sample_is_generator_choice():
     model = inc.DeFinettiDiscrete((0.2, 0.5, 0.9, 0.0), (0.5, 0.2, 0.3, 0.0))
+    points = [1.0 - 2.0 * a for a in model.atoms]
     ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
     for _ in range(20_000):
-        assert model.omega(ours) == float(theirs.choice(model.atoms, p=model.weights))
+        assert model.sample(ours) == theirs.choice(points, p=model.weights)
+    assert np.array_equal(model.sample(ours, size=(50, 40)),
+                          theirs.choice(points, p=model.weights, size=(50, 40)))
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_iid_bernoulli_sample_draws_nothing():
+    rng = np.random.default_rng(7)
+    before = rng.bit_generator.state
+    assert inc.IIDBernoulli(0.3).sample(rng) == 1.0 - 2.0 * 0.3
+    assert np.array_equal(inc.IIDBernoulli(0.3).sample(rng, size=4), [1.0 - 2.0 * 0.3] * 4)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("model, nonpositive", [
+    (inc.IIDBernoulli(0.7), 1.0),
+    (inc.DeFinettiDiscrete((0.2, 0.5, 0.9, 0.0), (0.5, 0.2, 0.3, 0.0)), 0.2 + 0.3),
+    (inc.SymmetricBetaSpin(2.0, 1.0), 0.5),
+    (inc.SymmetricBetaSpin(0.3, 7.5), 0.5),
+], ids=["iid", "discrete", "symmetric-2-1", "symmetric-0.3-7.5"])
+def test_abs_moment_split_at_zero_is_the_nonpositive_mass(model, nonpositive):
+    assert model.abs_moment_split(0.0)[0] == nonpositive
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 3.0), (0.5, 0.5), (0.05, 50.0)])
+def test_beta_abs_moment_split_at_zero_is_the_incomplete_beta_tail(a, b):
+    # xi <= 0 is omega >= 1/2, whose mass the regularized incomplete Beta gives
+    want = 1.0 - betainc(a, b, 0.5)
+    assert inc.DeFinettiBeta(a, b).abs_moment_split(0.0)[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_sample_Z_markov_mc(rng):
@@ -400,6 +449,14 @@ def test_model_from_dict_examples():
                  "limit-poisson-dirichlet"):
         with pytest.raises(DomainError):
             inc.model_from_dict({"model": name})  # missing parameter, e.g. M for mflip
+
+
+def test_model_from_dict_rejects_keys_the_model_lacks():
+    with pytest.raises(DomainError, match="'single-flip' takes no parameter p"):
+        inc.model_from_dict({"model": "single-flip", "p": 0.3})
+    with pytest.raises(DomainError, match="takes no parameter kapa"):
+        inc.model_from_dict({"model": "limit-poisson-dirichlet", "kappa": 1.0, "kapa": 2.0})
+    assert inc.model_from_dict({"model": "mflip", "m": 2}) == inc.MFlip(2)
 
 
 MARKOV_CHAINS = {
