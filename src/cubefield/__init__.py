@@ -12,8 +12,7 @@ from .increments import (DeFinettiBeta, DeFinettiDiscrete, IIDBernoulli,
                          IncrementModel, LimitLinear, LimitPoissonDirichlet,
                          MFlip, MarkovEntries, RandomSiteHalf, SingleFlip,
                          SymmetricBetaSpin, b_k, b_subset, model_from_dict,
-                         model_to_dict, rho_k, rho_subset, sample_Z,
-                         sample_spin_xi)
+                         model_to_dict, rho_k, rho_subset, sample_Z)
 from .field import (FieldSample, KSpinDraw, SpectralNoise, centered_field,
                     gff_log_density_check, infinite_field_marginal,
                     marginal_average, nested_fields, sample_field_cholesky,

@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from math import floor
 
 import numpy as np
 
@@ -64,14 +65,14 @@ def _model_from_args(args) -> increments.IncrementModel:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """'lo:hi:step' inclusive grid."""
+    """'lo:hi:step': lo, lo + step, ... up to hi, never past it (1e-9 step of slack)."""
     try:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise DomainError(f"grid must be lo:hi:step, got {text!r}") from None
     if step <= 0 or hi < lo:
         raise DomainError(f"bad grid bounds {text!r}")
-    n = int(round((hi - lo) / step))
+    n = floor((hi - lo) / step + 1e-9)
     return np.array([lo + i * step for i in range(n + 1)])
 
 

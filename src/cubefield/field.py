@@ -299,16 +299,3 @@ def kspin_mixture_mean(spec: GreenSpec, noise: SpectralNoise) -> np.ndarray:
     for k in range(spec.N + 1):
         total += pmf[k] * scales[k] * spin_sum_all_vertices(k, noise)
     return total
-
-
-def exchangeable_field_from_spins(spec: GreenSpec, noise: SpectralNoise) -> np.ndarray:
-    """The field assembled order by order, 2^(-N/2) sum_k m_k S_k(x; [N]).
-
-    Equals the subset-indexed evaluation on the same noise; kept as an
-    independent assembly route for verification.
-    """
-    m = spec.half_weights
-    total = np.zeros(1 << spec.N)
-    for k in range(spec.N + 1):
-        total += m[k] * spin_sum_all_vertices(k, noise)
-    return total * 2.0 ** (-spec.N / 2.0)

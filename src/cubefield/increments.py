@@ -14,16 +14,15 @@ Each law is a small frozen dataclass carrying its own rho, law, samplers
 their own spin measure.  Every 2^N table of an exchangeable law is one
 popcount gather of an (N+1)-vector; only MarkovEntries builds its own.
 Every operation is pure given an explicit numpy
-Generator, so instances are safe to share across threads.
+Generator, so instances are safe to share across threads.  The Beta laws
+import SciPy where they use it: `import cubefield` loads none of it.
 """
 
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from math import comb, exp, fsum, isclose, log
 
 import numpy as np
-from scipy.special import betaln, gammaln, roots_jacobi
 
 from .errors import DomainError, ResourceLimitError
 from .polynomials import krawtchouk_eval
@@ -333,23 +332,28 @@ class DeFinettiBeta(_DeFinetti):
         return _beta_spin_moments(float(self.a), float(self.b), _table_length(k)).item(k)
 
     def pmf_by_size(self, N):
+        from scipy.special import betaln
         j = np.arange(N + 1)
         return np.exp(betaln(self.a + j, self.b + N - j) - betaln(self.a, self.b))
 
     def abs_moment_split(self, theta):
+        """(integral over [-1,0], integral over (0,1]) of |xi|^theta: at theta = 0 the
+        masses I_{1/2}(b, a) and I_{1/2}(a, b) (xi <= 0 is omega >= 1/2), else two quadratures."""
+        from scipy.special import betainc, gammaln
+        a, b = self.a, self.b
+        if theta == 0:
+            return float(betainc(b, a, 0.5)), float(betainc(a, b, 0.5))
         from scipy.integrate import quad  # ~290 modules: loaded only where something integrates
-        dens = self._omega_density
-        # xi <= 0 is omega >= 1/2
-        neg = quad(lambda w: (2 * w - 1.0) ** theta * dens(w), 0.5, 1.0, **_QUAD_OPTS)[0]
-        pos = quad(lambda w: (1.0 - 2 * w) ** theta * dens(w), 0.0, 0.5, **_QUAD_OPTS)[0]
-        return neg, pos
+        log_norm = gammaln(a) + gammaln(b) - gammaln(a + b)
 
-    def _omega_density(self, w):
-        if w <= 0.0 or w >= 1.0:
-            return 0.0
-        ln = (self.a - 1) * log(w) + (self.b - 1) * log(1 - w) \
-            - (gammaln(self.a) + gammaln(self.b) - gammaln(self.a + self.b))
-        return exp(ln)
+        def weighted_density(w):
+            if w <= 0.0 or w >= 1.0:
+                return 0.0
+            log_density = (a - 1) * log(w) + (b - 1) * log(1 - w) - log_norm
+            return abs(1.0 - 2 * w) ** theta * exp(log_density)
+
+        return (quad(weighted_density, 0.5, 1.0, **_QUAD_OPTS)[0],
+                quad(weighted_density, 0.0, 0.5, **_QUAD_OPTS)[0])
 
     def sample(self, rng, size=None):
         return 1.0 - 2.0 * rng.beta(self.a, self.b, size=size)
@@ -374,6 +378,7 @@ class SymmetricBetaSpin(_DeFinetti):
         return _beta_moments(float(self.a), float(self.b), _table_length(k)).item(k)
 
     def pmf_by_size(self, N):
+        from scipy.special import roots_jacobi
         j = np.arange(N + 1)
         nodes, weights = roots_jacobi(N // 2 + 1, self.b - 1.0, self.a - 1.0)
         weights = weights / weights.sum()
@@ -387,6 +392,7 @@ class SymmetricBetaSpin(_DeFinetti):
 
     def abs_moment_split(self, theta):
         """E[R^theta] = Gamma(a+theta) Gamma(a+b) / (Gamma(a+b+theta) Gamma(a)), half a side."""
+        from scipy.special import gammaln
         a, ab = self.a, self.a + self.b
         half = 0.5 * exp(gammaln(a + theta) - gammaln(a) - (gammaln(ab + theta) - gammaln(ab)))
         return half, half
@@ -670,12 +676,22 @@ def _spin_moments(a: float, b: float):
         n += 1.0
 
 
+def _compensated_sums(values):
+    """Running sums of values, Neumaier-compensated: the error does not grow with the length."""
+    total = comp = 0.0
+    for x in values:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+        yield total + comp
+
+
 @lru_cache(maxsize=32)
 def _beta_spin_moments(a: float, b: float, length: int, summed: bool = False) -> np.ndarray:
-    """E[xi^n] for n < length, xi = 1 - 2w with w ~ Beta(a, b); if summed, the running
-    sums sum_{j<=n} E[xi^j], added in order (as np.cumsum would), without the moments."""
+    """E[xi^n] for n < length, xi = 1 - 2w with w ~ Beta(a, b); if summed, the
+    compensated running sums sum_{j<=n} E[xi^j], without the moments."""
     moments = _spin_moments(a, b)
-    table = np.fromiter(accumulate(moments) if summed else moments, float, length)
+    table = np.fromiter(_compensated_sums(moments) if summed else moments, float, length)
     table.flags.writeable = False
     return table
 
@@ -692,10 +708,6 @@ def _beta_moments(a: float, b: float, length: int) -> np.ndarray:
 def _mask(bits: np.ndarray) -> int:
     """The integer whose bit j is set where bits[j] is nonzero."""
     return int.from_bytes(np.packbits(bits, bitorder="little"), "little")
-
-
-def is_exchangeable(model) -> bool:
-    return model.is_exchangeable
 
 
 def rho_k(model, k: int, N: int | None = None) -> float:
@@ -759,13 +771,6 @@ def b_subset(model, subset: int, N: int | None, alpha: float | None) -> float:
 def b_k(model, k: int, N: int | None, alpha: float | None) -> float:
     """Exchangeable-size version of b_subset."""
     return model.gap(k, N, alpha)
-
-
-def sample_spin_xi(model, rng: np.random.Generator) -> float:
-    """One draw of the spin xi = 1 - 2*omega in [-1, 1]."""
-    if not model.is_definetti:
-        raise DomainError(f"{type(model).__name__} has no mixing measure")
-    return float(model.sample(rng))
 
 
 def sample_Z(model, N: int, rng: np.random.Generator) -> int:

@@ -148,13 +148,6 @@ class VanishingKillingY:
         return f"Y ~ (gamma/2) y^(gamma/2-1), gamma = {self.gamma}"
 
 
-def mixture_from_model(model) -> "CorrelationMixture":
-    """The correlation-mixture law attached to a limit-regime increment model."""
-    if not model.is_limit:
-        raise DomainError(f"{type(model).__name__} is not a limit-regime model")
-    return model.mixture()
-
-
 CorrelationMixture = FixedCorrelation | VanishingKillingY
 
 
@@ -296,12 +289,6 @@ def kappa_sample(spec: KappaSpec, zetas: np.ndarray) -> np.ndarray:
     return spec.basis @ zetas
 
 
-def kappa_sample_split(spec: KappaSpec, zetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(even-order part, odd-order part) of kappa over the grid, same zetas."""
-    zetas = np.asarray(zetas, dtype=float)
-    return spec.basis[:, 0::2] @ zetas[0::2], spec.basis[:, 1::2] @ zetas[1::2]
-
-
 def bivariate_normal_density(t: float, s: float, rho: float) -> float:
     """Standard bivariate normal density with correlation rho."""
     if not -1.0 < rho < 1.0:
@@ -437,12 +424,6 @@ def transform_weight_matrices(spec: KappaSpec, thetas) -> tuple[np.ndarray, np.n
     return W[:, :n_even], W[:, n_even:]
 
 
-def transform_weights(spec: KappaSpec, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Series weights (u_k on zeta_{2k}, v_k on zeta_{2k+1}) at one theta."""
-    U, V = transform_weight_matrices(spec, [theta])
-    return U[0], V[0]
-
-
 def transform_sample(spec: KappaSpec, zetas: np.ndarray, theta_grid) -> tuple[np.ndarray, np.ndarray]:
     """(U_theta, V_theta) over a theta grid from one shared zeta vector."""
     zetas = np.asarray(zetas, dtype=float)
@@ -452,37 +433,21 @@ def transform_sample(spec: KappaSpec, zetas: np.ndarray, theta_grid) -> tuple[np
     return U @ zetas[0::2], V @ zetas[1::2]
 
 
-def transform_sample_batch(spec: KappaSpec, zetas: np.ndarray,
-                           theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """(U, V) at a single theta for a (replicates, order+1) matrix of zetas."""
-    zetas = np.asarray(zetas, dtype=float)
-    if zetas.ndim != 2 or zetas.shape[1] != spec.order + 1:
-        raise DomainError(f"need (replicates, {spec.order + 1}) normals, "
-                          f"got shape {zetas.shape}")
-    u, v = transform_weights(spec, float(theta))
-    return zetas[:, 0::2] @ u, zetas[:, 1::2] @ v
-
-
-def inversion_check(spec: KappaSpec, zetas: np.ndarray, t,
-                    theta_max: float | None = None, nodes: int = 8192) -> float | np.ndarray:
+def inversion_check(spec: KappaSpec, zetas: np.ndarray, t) -> float | np.ndarray:
     """|(1/2pi) integral e^{-i theta t} kappa_hat_theta dtheta  -  kappa_t|.
 
     kappa_hat = U + iV comes from the same zetas as kappa_t.  U is even in
     theta and V odd, so the integral is (1/pi) times the trapezoid rule for
-    U cos(theta t) + V sin(theta t) on nodes // 2 + 1 points of
-    [0, theta_max].  One transform serves every t: a float t gives a float,
-    a 1-D sequence an array.  The window must cover the highest retained
-    order (the k-th basis function peaks near theta = sqrt(k)), so
-    theta_max defaults to sqrt(2 order) + 8.
+    U cos(theta t) + V sin(theta t) on 4097 points of [0, theta_max].  One
+    transform serves every t: a float t gives a float, a 1-D sequence an
+    array.  The window must cover the highest retained order (the k-th
+    basis function peaks near theta = sqrt(k)), so theta_max is
+    sqrt(2 order) + 8.
     """
-    if nodes < 2:
-        raise DomainError(f"the inversion needs at least 2 nodes, got {nodes}")
-    theta_max = sqrt(2.0 * spec.order) + 8.0 if theta_max is None else theta_max
-    if not (np.isfinite(theta_max) and theta_max > 0.0):
-        raise DomainError(f"theta_max must be finite and positive, got {theta_max}")
+    theta_max = sqrt(2.0 * spec.order) + 8.0
     ts = np.asarray(t, dtype=float)
     grid = np.atleast_1d(ts)
-    thetas = np.linspace(0.0, theta_max, nodes // 2 + 1)
+    thetas = np.linspace(0.0, theta_max, 4097)
     U, V = transform_sample(spec, zetas, thetas)
     phase = np.multiply.outer(grid, thetas)
     integral = np.trapezoid(np.cos(phase) * U + np.sin(phase) * V, thetas) / pi
@@ -513,17 +478,3 @@ def _inv_sqrt_gap(y: float) -> float:
     if y >= 1.0:
         return np.inf
     return sqrt(pi / (1.0 - y))
-
-
-def parseval_time_side(ylaw: CorrelationMixture) -> tuple[float, float]:
-    """(quadrature of integral Var(kappa_s) ds, closed form (1/(2 sqrt(pi))) E[(1-Y)^(-1/2)]).
-
-    The direct-plane energy; equals the transform-plane value divided by 2 pi.
-    """
-    closed = float(ylaw.expect(lambda y: 1.0 / (2.0 * sqrt(pi) * sqrt(1.0 - y))
-                               if y < 1.0 else np.inf))
-    if not np.isfinite(closed):
-        raise DomainError("E[1/sqrt(1-Y)] diverges: correlation mass at 1")
-    quadval = 2.0 * quad(lambda s: kappa_cov(ylaw, s, s, method="mixture"),
-                         0.0, np.inf, **_QUAD_OPTS)[0]
-    return quadval, closed

@@ -22,14 +22,12 @@ pairs so products of hundreds of spins cannot underflow.
 """
 
 from dataclasses import dataclass
-from math import comb, exp, expm1, log, log1p
+from math import comb, expm1, log, log1p
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import increments
 from .errors import DomainError
-from .walk import GreenSpec, green_spectral
 
 # ---------------------------------------------------------------------------
 # spin measures: the de Finetti increment models themselves
@@ -37,11 +35,6 @@ from .walk import GreenSpec, green_spectral
 
 SpinMeasure = increments.IIDBernoulli | increments.DeFinettiDiscrete \
     | increments.DeFinettiBeta | increments.SymmetricBetaSpin
-
-
-def delta_spin(value: float) -> increments.IIDBernoulli:
-    """Unit point mass at xi = value: the i.i.d. law with omega = (1 - value)/2."""
-    return increments.IIDBernoulli((1.0 - value) / 2.0)
 
 
 def spin_measure_of(model) -> SpinMeasure:
@@ -232,46 +225,24 @@ def evolve_measure(spin: SpinMeasure, t: int) -> EvolvedMeasure:
     return EvolvedMeasure(spin, t)
 
 
-def killed_measure_moments(law: YLaw, ones: int, total: int,
-                           method: str = "expansion",
-                           rng: np.random.Generator | None = None,
-                           draws: int = 200_000) -> float:
+def killed_measure_moments(law: YLaw, ones: int, total: int) -> float:
     """E[V^n (1-V)^(N-n)] for V = (1 - Y)/2: the killed de Finetti moments.
 
     Equals (1-alpha) G(x, y) whenever ||x XOR y|| = n in dimension N.  The
-    expansion route rewrites the product as 2^-N sum_m coeff_m E[Y^m] with
-    integer coefficients; the MC route averages over sampled Y.
+    product is rewritten as 2^-N sum_m coeff_m E[Y^m] with integer
+    coefficients.
     """
     if law.phi != 1.0:
         raise DomainError("killed de Finetti moments are a phi = 1 statement")
     if not 0 <= ones <= total:
         raise DomainError(f"need 0 <= ones <= total, got {ones}, {total}")
-    if method == "expansion":
-        # (1-Y)^n (1+Y)^(N-n) expanded in powers of Y, exact coefficients
-        coeffs = np.zeros(total + 1)
-        for i in range(ones + 1):
-            for j in range(total - ones + 1):
-                coeffs[i + j] += (-1) ** i * comb(ones, i) * comb(total - ones, j)
-        moments = np.array([moment_Y(law, m) for m in range(total + 1)])
-        return float(np.dot(coeffs, moments)) * 0.5 ** total
-    if method == "mc":
-        if rng is None:
-            raise DomainError("the MC route needs an rng")
-        y = sample_Y(law, rng, size=draws)
-        v = 0.5 * (1.0 - y)
-        return float(np.mean(v ** ones * (1.0 - v) ** (total - ones)))
-    raise DomainError(f"unknown method {method!r}")
-
-
-def killed_green_check(law: YLaw, model, N: int) -> float:
-    """Max gap between the moment route and the spectral Green function over levels."""
-    spec = GreenSpec(N, model, law.alpha)
-    worst = 0.0
-    for n in range(N + 1):
-        x = (1 << n) - 1
-        gap = abs(killed_measure_moments(law, n, N) - green_spectral(spec, 0, x))
-        worst = max(worst, gap)
-    return worst
+    # (1-Y)^n (1+Y)^(N-n) expanded in powers of Y, exact coefficients
+    coeffs = np.zeros(total + 1)
+    for i in range(ones + 1):
+        for j in range(total - ones + 1):
+            coeffs[i + j] += (-1) ** i * comb(ones, i) * comb(total - ones, j)
+    moments = np.array([moment_Y(law, m) for m in range(total + 1)])
+    return float(np.dot(coeffs, moments)) * 0.5 ** total
 
 
 # ---------------------------------------------------------------------------
@@ -298,42 +269,3 @@ def beta_example_density(a: float, alpha: float, zeta: float) -> float:
     if z >= 1.0 or z == 0.0:
         return 0.0
     return (1.0 - alpha) * alpha * (a / 2.0) * z ** (a * (1.0 - alpha) - 1.0)
-
-
-def beta_fixed_steps_density(a: float, t: int, zeta: float) -> float:
-    """Density of the product of exactly t spins under the symmetric Beta(a,1) law.
-
-    (a / 2 Gamma(t)) |z|^(a-1) (-a log|z|)^(t-1), assembled in log space so
-    large t neither overflows the power nor the factorial.
-    """
-    if t < 1:
-        raise DomainError(f"step count must be >= 1, got {t}")
-    z = abs(zeta)
-    if z >= 1.0 or z == 0.0:
-        return 0.0
-    log_val = log(a / 2.0) + (a - 1.0) * log(z) \
-        + (t - 1) * log(-a * log(z)) - gammaln(t)
-    return exp(log_val)
-
-
-def beta_killed_product_sample(a: float, b: int, alpha: float,
-                               rng: np.random.Generator,
-                               size: int | None = None):
-    """Killed product for symmetric Beta(a, b) spins, integer b >= 1.
-
-    For fixed T = t >= 1 the magnitude is exp(-sum_{j=0}^{b-1} U_j/(a+j))
-    with U_j i.i.d. Gamma(t); the sign is an independent fair coin.  T = 0
-    returns +1 (origin start).
-    """
-    if b < 1 or b != int(b):
-        raise DomainError(f"b must be a positive integer, got {b}")
-    increments._killing_c(alpha)
-    n = 1 if size is None else size
-    u = 1.0 - rng.random(n)
-    t = np.floor(np.log(u) / log(alpha))
-    log_mag = np.zeros(n)
-    for j in range(int(b)):
-        log_mag -= rng.gamma(np.where(t > 0, t, 1.0)) / (a + j)
-    signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    vals = np.where(t == 0, 1.0, signs * np.exp(log_mag))
-    return float(vals[0]) if size is None else vals

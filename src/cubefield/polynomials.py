@@ -93,7 +93,7 @@ def krawtchouk_eval(k: int, w: int, N: int):
     if N <= EXACT_N_LIMIT:
         num = sum((-1) ** j * comb(w, j) * comb(N - w, k - j) for j in range(k + 1))
         return Fraction(num, comb(N, k))
-    return float(krawtchouk_row(N, w, k)[k])
+    return float(krawtchouk_matrix(N)[w, k])
 
 
 def binomial_pmf(N: int) -> np.ndarray:
@@ -111,15 +111,12 @@ def binomial_pmf(N: int) -> np.ndarray:
     return out
 
 
-def krawtchouk_row(N: int, w: int, max_degree: int | None = None) -> np.ndarray:
-    """Q_k(w; N, 1/2) for k = 0..max_degree in floating point: a read-only row
-    of krawtchouk_matrix(N)."""
+def krawtchouk_row(N: int, w: int) -> np.ndarray:
+    """Q_k(w; N, 1/2) for k = 0..N in floating point: a read-only row of
+    krawtchouk_matrix(N)."""
     if not 0 <= w <= N:
         raise DomainError(f"argument must lie in [0, {N}], got {w}")
-    K = N if max_degree is None else max_degree
-    if not 0 <= K <= N:
-        raise DomainError(f"degree must lie in [0, {N}], got {K}")
-    return krawtchouk_matrix(N)[w, :K + 1]
+    return krawtchouk_matrix(N)[w]
 
 
 @lru_cache(maxsize=8)

@@ -103,12 +103,6 @@ def popcounts(n_bits: int) -> np.ndarray:
     return pc
 
 
-def subset_signs(mask: int, n_bits: int) -> np.ndarray:
-    """(-1)^popcount(A & mask) for every subset index A in [0, 2^n_bits)."""
-    pc = np.bitwise_count(np.arange(1 << n_bits, dtype=np.uint64) & np.uint64(mask))
-    return 1.0 - 2.0 * (pc.astype(np.int64) & 1)
-
-
 def signed_sum(table: np.ndarray, mask: int) -> float:
     """sum_A table[A] (-1)^popcount(A & mask), folding the 2^n table in place.
 

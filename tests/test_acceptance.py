@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import covariance_se, exact_levelset_cov, mean_and_se
+from oracles import beta_killed_product_sample
 from cubefield import cli
 from cubefield import field as fld
 from cubefield import increments as inc
@@ -151,7 +152,7 @@ def test_07_beta_example():
         assert abs(mass - alpha) < 1e-9, f"continuous mass {mass}"
         rng = np.random.default_rng(707)
         n = 1_000_000
-        draws = pp.beta_killed_product_sample(a, 1, alpha, rng, size=n)
+        draws = beta_killed_product_sample(a, 1, alpha, rng, size=n)
         cont = draws[draws != 1.0]
         u = np.abs(cont) ** (a * (1 - alpha))
         cells = np.clip((u * 20).astype(int), 0, 19) + 20 * (cont > 0)
@@ -243,10 +244,11 @@ def test_11_limit_process_and_transform():
         spec2 = lm.build_kappa_spec(y2, grid)
         theta = 1.0
         target = lm.transform_cov(y2, theta, theta)
+        u, v = (W[0] for W in lm.transform_weight_matrices(spec2, [theta]))
         uu, vv = [], []
         for _ in range(20):
             zetas = rng.standard_normal((20_000, spec2.order + 1))
-            U, V = lm.transform_sample_batch(spec2, zetas, theta)
+            U, V = zetas[:, 0::2] @ u, zetas[:, 1::2] @ v
             uu.append(U * U)
             vv.append(V * V)
         est, se = mean_and_se(np.concatenate(uu))

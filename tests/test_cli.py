@@ -175,6 +175,18 @@ def test_sample_kappa_grid(tmp_path):
     assert len(rows) == 3 * 17
 
 
+@pytest.mark.parametrize("text, want", [
+    ("0:1:0.6", [0.0, 0.6]),
+    ("-2:2:1.5", [-2.0, -0.5, 1.0]),
+    ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.30000000000000004]),
+    ("-1.5:1.5:0.75", [-1.5, -0.75, 0.0, 0.75, 1.5]),
+    ("2:2:1", [2.0]),
+])
+def test_grid_stays_inside_its_bounds(text, want):
+    # the count is truncated, not rounded: 0:1:0.6 used to end at 1.2
+    assert cli._parse_grid(text).tolist() == want
+
+
 def test_ylaw_report(tmp_path):
     out = tmp_path / "moments.csv"
     lap = tmp_path / "laplace.csv"
@@ -329,10 +341,11 @@ def test_repeat_runs_are_byte_identical(tmp_path, argv_builder):
 
 
 def test_quadrature_modules_load_on_first_use(tmp_path):
-    # a fresh interpreter: the import and the full-cube commands never integrate
+    # a fresh interpreter: the import loads no SciPy, and the full-cube commands never integrate
     script = textwrap.dedent("""
         import math, sys
         import cubefield
+        assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
         from cubefield import cli, limits
         assert "scipy.integrate" not in sys.modules
         assert cli.main(["green", "--model", "definetti-beta", "--a", "2", "--b", "3",

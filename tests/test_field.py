@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_within_3se, covariance_se
+from oracles import exchangeable_field_from_spins, subset_signs
 from cubefield import field as fld
 from cubefield import increments as inc
 from cubefield import walk
@@ -390,7 +391,6 @@ def test_nested_fields_regression_slope(rng):
     coef_lo = np.sqrt(spec_lo.subset_table())
     x = 0b1010
     noise_mat = rng.standard_normal((reps, 1 << N))
-    from cubefield.walsh import subset_signs
     hi = (noise_mat * coef_hi) @ subset_signs(x, N) * 2.0 ** (-N / 2)
     lo = (noise_mat[:, : 1 << (N - 1)] * coef_lo) @ subset_signs(
         x & 0b111, N - 1) * 2.0 ** (-(N - 1) / 2)
@@ -407,7 +407,6 @@ def test_nested_fields_triangular_blocks_uncorrelated(rng):
     spec = spec_of(N, DEFINETTI, alpha)
     coef = np.sqrt(spec.subset_table())
     x = 0b101
-    from cubefield.walsh import subset_signs
     signs = subset_signs(x, N)
     blocks = []
     noise_mat = rng.standard_normal((reps, 1 << N))
@@ -504,7 +503,7 @@ def test_exchangeable_grouped_form_matches_subsets(rng):
     for N in (3, 6, 8):
         spec = spec_of(N, DEFINETTI, 0.5)
         noise = fld.SpectralNoise.draw(N, rng)
-        grouped = fld.exchangeable_field_from_spins(spec, noise)
+        grouped = exchangeable_field_from_spins(spec, noise)
         direct = fld.sample_field_spectral(spec, noise).values
         assert np.abs(grouped - direct).max() < 1e-12
 

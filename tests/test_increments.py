@@ -1,15 +1,16 @@
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import combinations
-from math import comb, isclose, lcm
+from math import comb, fsum, isclose, lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import betainc, betaln
+from scipy.special import betaln
 
 from conftest import assert_within_3se, mean_and_se
 from cubefield import increments as inc
@@ -84,7 +85,7 @@ def test_rho_subset_matches_law_enumeration(model, N):
         assert isclose(inc.rho_subset(model, subset, N), expected, abs_tol=1e-12)
 
 
-@pytest.mark.parametrize("model", [m for m in ENUMERABLE if inc.is_exchangeable(m)],
+@pytest.mark.parametrize("model", [m for m in ENUMERABLE if m.is_exchangeable],
                          ids=lambda m: type(m).__name__)
 def test_rho_k_equals_any_subset_of_that_size(model):
     N = 6
@@ -304,6 +305,16 @@ def test_poisson_dirichlet_b_at_large_subsets():
     assert np.isfinite(inc.b_k(model, 4096, None, None))
 
 
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("k", [4096, 65536])
+def test_poisson_dirichlet_gap_is_twice_the_fsum_of_its_table(kappa, k):
+    # the running sum is compensated: at k = 65536 an uncompensated one was
+    # off by up to 1.4e-14 relative
+    table = inc._beta_spin_moments(1.0, kappa, 1 << 17)
+    want = 2.0 * fsum(table[:k].tolist())
+    assert abs(inc.LimitPoissonDirichlet(kappa).gap(k) - want) <= np.spacing(want)
+
+
 def test_poisson_dirichlet_gaps_take_constant_time():
     model = inc.LimitPoissonDirichlet(1.0)
     inc._beta_spin_moments.cache_clear()
@@ -384,11 +395,19 @@ def test_abs_moment_split_at_zero_is_the_nonpositive_mass(model, nonpositive):
     assert model.abs_moment_split(0.0)[0] == nonpositive
 
 
-@pytest.mark.parametrize("a, b", [(2.0, 3.0), (0.5, 0.5), (0.05, 50.0)])
+@pytest.mark.parametrize("a, b", [(2.0, 3.0), (0.5, 0.5), (0.05, 50.0), (50.0, 0.05),
+                                  (0.3, 0.7)])
 def test_beta_abs_moment_split_at_zero_is_the_incomplete_beta_tail(a, b):
-    # xi <= 0 is omega >= 1/2, whose mass the regularized incomplete Beta gives
-    want = 1.0 - betainc(a, b, 0.5)
-    assert inc.DeFinettiBeta(a, b).abs_moment_split(0.0)[0] == pytest.approx(want, abs=1e-12)
+    # xi <= 0 is omega >= 1/2, whose mass the regularized incomplete Beta gives;
+    # each half within 16 ulp of 50 digits, and no quadrature warning
+    mpmath = pytest.importorskip("mpmath")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        halves = inc.DeFinettiBeta(a, b).abs_moment_split(0.0)
+    with mpmath.workdps(50):
+        for got, (p, q) in zip(halves, [(b, a), (a, b)]):
+            want = float(mpmath.betainc(p, q, 0, 0.5, regularized=True))
+            assert abs(got - want) <= 16 * np.spacing(want), (got, want)
 
 
 def test_sample_Z_markov_mc(rng):
@@ -401,14 +420,13 @@ def test_sample_Z_markov_mc(rng):
 
 
 def test_sample_spin_xi(rng):
-    assert inc.sample_spin_xi(inc.DeFinettiDiscrete((0.0,), (1.0,)), rng) == 1.0
-    assert inc.sample_spin_xi(inc.DeFinettiDiscrete((1.0,), (1.0,)), rng) == -1.0
-    draws = np.array([np.sign(inc.sample_spin_xi(inc.SymmetricBetaSpin(2.0, 1.5), rng))
+    # a de Finetti law is its own spin measure: sample() draws xi = 1 - 2 omega
+    assert inc.DeFinettiDiscrete((0.0,), (1.0,)).sample(rng) == 1.0
+    assert inc.DeFinettiDiscrete((1.0,), (1.0,)).sample(rng) == -1.0
+    draws = np.array([np.sign(inc.SymmetricBetaSpin(2.0, 1.5).sample(rng))
                       for _ in range(100_000)])
     est, se = mean_and_se(draws)
     assert_within_3se(est, 0.0, se, "spin sign symmetry")
-    with pytest.raises(DomainError):
-        inc.sample_spin_xi(inc.SingleFlip(), rng)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import assert_within_3se, covariance_se, exact_levelset_cov, mean_and_se
+from oracles import parseval_time_side
 from cubefield import field as fld
 from cubefield import increments as inc
 from cubefield import limits as lm
@@ -128,7 +129,7 @@ def test_kappa_spec_rejects_nonvanishing_moments():
 def test_kappa_spec_refuses_the_poisson_dirichlet_regime(kappa):
     # E[Y^k] = 1/(1 + b_k) decays like 1/log k: Var(kappa_0) diverges
     with pytest.raises(DomainError, match="finite-variance"):
-        lm.build_kappa_spec(lm.mixture_from_model(inc.LimitPoissonDirichlet(kappa)), GRID)
+        lm.build_kappa_spec(inc.LimitPoissonDirichlet(kappa).mixture(), GRID)
 
 
 def test_kappa_spec_admits_fast_killing_law():
@@ -214,7 +215,8 @@ def test_kappa_odd_even_split(rng):
     spec = lm.build_kappa_spec(ylaw, grid)
     zetas = rng.standard_normal(spec.order + 1)
     total = lm.kappa_sample(spec, zetas)
-    even, odd = lm.kappa_sample_split(spec, zetas)
+    even = spec.basis[:, 0::2] @ zetas[0::2]
+    odd = spec.basis[:, 1::2] @ zetas[1::2]
     assert np.abs(even + odd - total).max() < 1e-12
     # H_k parity: even part is symmetric in t, odd antisymmetric
     assert even[0] == pytest.approx(even[1], abs=1e-12)
@@ -332,12 +334,13 @@ def test_transform_sample_variances_match_closed_forms(rng):
     spec = lm.build_kappa_spec(ylaw, GRID)
     theta = 1.0
     target = lm.transform_cov(ylaw, theta, theta)
+    u, v = (W[0] for W in lm.transform_weight_matrices(spec, [theta]))
     reps, chunk = 400_000, 20_000
     uu, vv, uv = [], [], []
     done = 0
     while done < reps:
         zetas = rng.standard_normal((chunk, spec.order + 1))
-        U, V = lm.transform_sample_batch(spec, zetas, theta)
+        U, V = zetas[:, 0::2] @ u, zetas[:, 1::2] @ v
         uu.append(U * U)
         vv.append(V * V)
         uv.append(U * V)
@@ -356,7 +359,7 @@ def test_exact_variance_of_representation_weights():
     for ylaw in (lm.FixedCorrelation(0.5), lm.VanishingKillingY(2.0)):
         spec = lm.build_kappa_spec(ylaw, GRID)
         for theta in (0.5, 1.0, 2.0):
-            u, v = lm.transform_weights(spec, theta)
+            u, v = (W[0] for W in lm.transform_weight_matrices(spec, [theta]))
             cov = lm.transform_cov(ylaw, theta, theta)
             # truncation tail only matters for the slow law; bound by the
             # dropped even/odd moment mass
@@ -369,7 +372,7 @@ def test_exact_variance_of_representation_weights():
 def test_inversion_residuals(rng):
     spec0 = lm.build_kappa_spec(lm.FixedCorrelation(0.0), (0.3,))
     zetas = rng.standard_normal(spec0.order + 1)
-    assert lm.inversion_check(spec0, zetas, 0.3, theta_max=8.0, nodes=2048) < 1e-6
+    assert lm.inversion_check(spec0, zetas, 0.3) < 1e-6
     spec2 = lm.build_kappa_spec(lm.VanishingKillingY(2.0), GRID)
     z2 = rng.standard_normal(spec2.order + 1)
     for t in (0.0, 1.0, -1.0):
@@ -432,18 +435,6 @@ def test_inversion_check_takes_every_t_at_once(rng):
     assert lm.inversion_check(spec, zetas, []).shape == (0,)
 
 
-@pytest.mark.parametrize("window", [dict(nodes=0), dict(nodes=1), dict(theta_max=-1.0),
-                                    dict(theta_max=0.0), dict(theta_max=float("inf")),
-                                    dict(theta_max=float("nan"))],
-                         ids=["nodes=0", "nodes=1", "theta_max=-1", "theta_max=0",
-                              "theta_max=inf", "theta_max=nan"])
-def test_inversion_check_rejects_degenerate_window(rng, window):
-    spec = lm.build_kappa_spec(lm.VanishingKillingY(2.0), GRID)
-    zetas = rng.standard_normal(spec.order + 1)
-    with pytest.raises(DomainError):
-        lm.inversion_check(spec, zetas, 0.5, **window)
-
-
 def test_parseval_pairs():
     lhs, rhs = lm.parseval_check(lm.FixedCorrelation(0.0))
     assert lhs == pytest.approx(sqrt(pi), abs=1e-9)
@@ -475,15 +466,13 @@ def test_parseval_theta_side_from_transform_diagonal():
 
 def test_parseval_time_side_reports_planar_factor():
     ylaw = lm.VanishingKillingY(3.0)
-    quadval, closed = lm.parseval_time_side(ylaw)
+    quadval, closed = parseval_time_side(ylaw)
     assert quadval == pytest.approx(closed, abs=1e-6)
     _, theta_side = lm.parseval_check(ylaw)
     assert closed == pytest.approx(theta_side / (2 * pi), abs=1e-10)
 
 
 def test_mixture_from_limit_models():
-    assert isinstance(lm.mixture_from_model(inc.LimitLinear(2.0)), lm.VanishingKillingY)
+    assert isinstance(inc.LimitLinear(2.0).mixture(), lm.VanishingKillingY)
     with pytest.raises(DomainError, match="finite-variance"):
-        lm.mixture_from_model(inc.LimitPoissonDirichlet(1.5))
-    with pytest.raises(DomainError):
-        lm.mixture_from_model(inc.SingleFlip())
+        inc.LimitPoissonDirichlet(1.5).mixture()

@@ -9,6 +9,7 @@ from scipy.special import gammaln
 from scipy.stats import chi2
 
 from conftest import assert_within_3se, mean_and_se
+from oracles import beta_fixed_steps_density, beta_killed_product_sample, killed_green_check
 from cubefield import increments as inc
 from cubefield import pointproc as pp
 from cubefield.errors import DomainError
@@ -379,11 +380,11 @@ def test_continuous_peak_is_bounded_by_the_chunk():
 
 def test_evolve_measure_steps():
     spin = pp.spin_measure_of(DISCRETE)
-    start = pp.delta_spin(1.0)
+    start = inc.IIDBernoulli(0.0)  # the unit point mass at xi = 1
     t0 = pp.evolve_measure(spin, 0)
     for k in range(5):
         assert t0.moment(k) == inc.rho_k(start, k)
-    t1 = pp.evolve_measure(pp.delta_spin(0.6), 1)
+    t1 = pp.evolve_measure(inc.IIDBernoulli((1.0 - 0.6) / 2.0), 1)
     for k in range(5):
         assert t1.moment(k) == pytest.approx(0.6 ** k, abs=1e-14)
 
@@ -426,13 +427,14 @@ def test_killed_measure_trivial():
 
 def test_killed_measure_ties_to_green():
     law = pp.YLaw.from_model(DISCRETE, 0.5)
-    assert pp.killed_green_check(law, DISCRETE, 3) < 1e-10
+    assert killed_green_check(law, DISCRETE, 3) < 1e-10
 
 
 def test_killed_measure_mc_route(rng):
     law = pp.YLaw.from_model(DISCRETE, 0.5)
     exact = pp.killed_measure_moments(law, 1, 3)
-    mc = pp.killed_measure_moments(law, 1, 3, method="mc", rng=rng, draws=400_000)
+    v = 0.5 * (1.0 - pp.sample_Y(law, rng, size=400_000))
+    mc = float(np.mean(v * (1.0 - v) ** 2))
     # V^n(1-V)^(N-n) is bounded by 1, crude but sufficient error bar
     assert abs(mc - exact) <= 3.0 / sqrt(400_000)
 
@@ -444,7 +446,7 @@ def test_killed_measure_mc_route(rng):
 def test_beta_fixed_steps_density_t1():
     a = 1.6
     for z in (-0.7, 0.2, 0.9):
-        assert pp.beta_fixed_steps_density(a, 1, z) == pytest.approx(
+        assert beta_fixed_steps_density(a, 1, z) == pytest.approx(
             a / 2 * abs(z) ** (a - 1), abs=1e-14)
 
 
@@ -458,14 +460,14 @@ def test_beta_example_density_normalizes_to_alpha():
 def test_beta_example_density_is_geometric_mixture_of_fixed_steps():
     # independent route: partial sums of (1-alpha) alpha^t g_t(z)
     a, alpha, z = 2.3, 0.5, 0.4
-    mix = sum((1 - alpha) * alpha ** t * pp.beta_fixed_steps_density(a, t, z)
+    mix = sum((1 - alpha) * alpha ** t * beta_fixed_steps_density(a, t, z)
               for t in range(1, 200))
     assert pp.beta_example_density(a, alpha, z) == pytest.approx(mix, abs=1e-12)
 
 
 def test_beta_example_histogram_chi_square(rng):
     a, alpha, n = 1.7, 0.5, 1_000_000
-    draws = pp.beta_killed_product_sample(a, 1, alpha, rng, size=n)
+    draws = beta_killed_product_sample(a, 1, alpha, rng, size=n)
     at_one = draws == 1.0
     cont = draws[~at_one]
     se = sqrt(alpha * (1 - alpha) / n)
@@ -482,7 +484,7 @@ def test_beta_example_histogram_chi_square(rng):
 
 def test_beta_killed_product_integer_b_moments(rng):
     a, b, alpha = 2.0, 2, 0.5
-    draws = np.abs(pp.beta_killed_product_sample(a, b, alpha, rng, size=400_000))
+    draws = np.abs(beta_killed_product_sample(a, b, alpha, rng, size=400_000))
     c = alpha / (1 - alpha)
     for theta in (1.0, 2.0):
         step = exp(gammaln(a + theta) + gammaln(a + b)
@@ -496,4 +498,4 @@ def test_beta_example_domain_errors():
     with pytest.raises(DomainError):
         pp.beta_example_density(0.0, 0.5, 0.3)
     with pytest.raises(DomainError):
-        pp.beta_killed_product_sample(1.0, 1.5, 0.5, np.random.default_rng(0))
+        beta_killed_product_sample(1.0, 1.5, 0.5, np.random.default_rng(0))

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import subset_signs
 from cubefield.errors import DomainError
-from cubefield.walsh import bit_positions, fwht, iter_submasks, popcounts, signed_sum, subset_signs
+from cubefield.walsh import bit_positions, fwht, iter_submasks, popcounts, signed_sum
 
 
 def stacked_fwht(values):
