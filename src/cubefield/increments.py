@@ -20,17 +20,17 @@ import SciPy where they use it: `import cubefield` loads none of it.
 
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
-from math import comb, exp, fsum, isclose, log
+from math import ceil, comb, exp, fsum, isclose, log
 
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .polynomials import krawtchouk_eval
+from .quadrature import quad
 from .walsh import popcounts
 
 # the largest N whose 2^N subsets are enumerated: one float64 table is 128 MiB
 SPECTRAL_ENUMERATION_N_LIMIT = 24
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 # once |Y| <= 2^-54, 1 - Y rounds to 1 and so does every further product
 # with spins in [-1, 1]: the flip probability 0.5 (1 - Y) is final
 _Y_SETTLED = 2.0 ** -54
@@ -338,22 +338,14 @@ class DeFinettiBeta(_DeFinetti):
 
     def abs_moment_split(self, theta):
         """(integral over [-1,0], integral over (0,1]) of |xi|^theta: at theta = 0 the
-        masses I_{1/2}(b, a) and I_{1/2}(a, b) (xi <= 0 is omega >= 1/2), else two quadratures."""
-        from scipy.special import betainc, gammaln
+        masses I_{1/2}(b, a) and I_{1/2}(a, b) (xi <= 0 is omega >= 1/2), else two
+        quadratures, each over one half of omega (_beta_half_moment)."""
+        from scipy.special import betainc, betaln
         a, b = self.a, self.b
         if theta == 0:
             return float(betainc(b, a, 0.5)), float(betainc(a, b, 0.5))
-        from scipy.integrate import quad  # ~290 modules: loaded only where something integrates
-        log_norm = gammaln(a) + gammaln(b) - gammaln(a + b)
-
-        def weighted_density(w):
-            if w <= 0.0 or w >= 1.0:
-                return 0.0
-            log_density = (a - 1) * log(w) + (b - 1) * log(1 - w) - log_norm
-            return abs(1.0 - 2 * w) ** theta * exp(log_density)
-
-        return (quad(weighted_density, 0.5, 1.0, **_QUAD_OPTS)[0],
-                quad(weighted_density, 0.0, 0.5, **_QUAD_OPTS)[0])
+        log_norm = -float(betaln(a, b))
+        return _beta_half_moment(b, a, theta, log_norm), _beta_half_moment(a, b, theta, log_norm)
 
     def sample(self, rng, size=None):
         return 1.0 - 2.0 * rng.beta(self.a, self.b, size=size)
@@ -703,6 +695,34 @@ def _beta_moments(a: float, b: float, length: int) -> np.ndarray:
     table = np.cumprod(np.concatenate(([1.0], (a + i) / (a + b + i))))
     table.flags.writeable = False
     return table
+
+
+def _beta_half_moment(a: float, b: float, theta: float, log_norm: float) -> float:
+    """E[(1 - 2w)^theta; w < 1/2] for w ~ Beta(a, b), log_norm = -log B(a, b).
+
+    Split at w = 1/4, and each quarter substituted so that its endpoint
+    power becomes one of at least 2 while integer powers keep the rest
+    smooth: w = u^p with p = ceil(3/a) below (w^(a-1) dw = p u^(pa - 1) du),
+    and 1 - 2w = s^m with m = ceil(6/(theta + 1)) above ((1 - 2w)^theta dw
+    = (m/2) s^(m(theta + 1) - 1) ds, a power of at least 5).  Both quarters
+    are scaled onto [0, 1] and integrated as one sum; the weights are summed
+    in logs, so 1/B(a, b) never overflows on its own.  The side w > 1/2 is
+    this with a and b swapped.
+    """
+    p, m = ceil(3.0 / a), ceil(6.0 / (theta + 1.0))
+    u_end, s_end = 0.25 ** (1.0 / p), 0.5 ** (1.0 / m)
+
+    def integrand(x):
+        u, s = u_end * x, s_end * x
+        w = u ** p
+        below = (1.0 - 2.0 * w) ** theta * np.exp(
+            log_norm + log(p * u_end) + (p * a - 1.0) * np.log(u) + (b - 1.0) * np.log1p(-w))
+        w = 0.5 - 0.5 * s ** m
+        above = np.exp(log_norm + log(0.5 * m * s_end) + (m * (theta + 1.0) - 1.0) * np.log(s)
+                       + (a - 1.0) * np.log(w) + (b - 1.0) * np.log1p(-w))
+        return below + above
+
+    return float(quad(integrand, 0.0, 1.0)[0])
 
 
 def _mask(bits: np.ndarray) -> int:

@@ -26,12 +26,17 @@ the killed product).  Each gives kappa a finite variance, so every law the
 types admit has a limit process; the Poisson-Dirichlet regime, whose
 moments decay only like 1/log k, has none and is refused where its law
 would be built (LimitPoissonDirichlet.mixture).
+
+Every expectation over a correlation law (the mixture covariance, the
+transform covariances, both Parseval sides, the CLT limit) is one call of
+the numpy Gauss-Kronrod rule quadrature.quad on an array integrand.  The
+rule has no extrapolation, so VanishingKillingY substitutes its endpoint
+singularities away (expect, gap_laplace) before the rule sees them.
 """
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from math import exp, pi, sqrt
+from math import ceil, exp, pi, sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -40,30 +45,17 @@ from .errors import DomainError, NumericError
 from .field import FieldSample
 from .polynomials import hermite_weighted_all, krawtchouk_weighted_matrix
 from .increments import SingleFlip
+from .quadrature import quad
 from .walk import GreenSpec
 from .walsh import popcounts
-
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
-
-
-def quad(fn, lo, hi, **opts):
-    """scipy.integrate.quad at tight tolerance, roundoff chatter silenced.
-
-    The endpoint-singular mixture integrands trip QAGS's roundoff warning
-    while still returning ~1e-13 accuracy; correctness is asserted by the
-    test suite on values, not warnings.  scipy.integrate is imported here,
-    on first use: it loads ~290 more modules that the full-cube and
-    Krawtchouk routes never need.
-    """
-    from scipy.integrate import IntegrationWarning, quad as scipy_quad
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return scipy_quad(fn, lo, hi, **opts)
 
 TRUNCATION_STEP = 8
 TRUNCATION_REL_TOL = 1e-10
 TRUNCATION_CAP = 512
 _HERMITE_ENVELOPE = 1.1  # sup_k k^(1/4) |H_k(t)| e^(-t^2/4) / sqrt(k!) is below this
+_TAIL_HORIZON = 1 << 20  # the tail bound sums knots up to here, then a 1/k-decay extension
+# e^(-lam x) < 4e-18 past x = 40/lam: the gap layer that carries every float digit
+_GAP_LAYER = 40.0
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +74,13 @@ class FixedCorrelation:
     def moment(self, k: int) -> float:
         return self.value ** k
 
-    def expect(self, fn: Callable[[float], float]) -> float:
-        return float(fn(self.value))
+    def expect(self, fn: Callable) -> float:
+        """E[fn(Y, 1 - Y)]."""
+        return float(fn(self.value, 1.0 - self.value))
 
-    def gap_laplace(self, lam: float) -> float:
-        """E[e^(-lam (1 - Y))]."""
-        return exp(-lam * (1.0 - self.value))
+    def gap_laplace(self, lam):
+        """E[e^(-lam (1 - Y))] for lam >= 0, a float or an array of them."""
+        return np.exp(-np.asarray(lam, dtype=float) * (1.0 - self.value))
 
     def scaled_exp_moment(self, x: float, log_scale: float) -> float:
         """e^log_scale E[e^(xY)] with the exponents combined (no overflow)."""
@@ -102,7 +95,9 @@ class VanishingKillingY:
     """Y with density (gamma/2) y^(gamma/2 - 1) on (0, 1).
 
     The limit law of the killed-product variable when the killing rate
-    scales like gamma/N; moments E[Y^k] = 1 / (1 + 2k/gamma).
+    scales like gamma/N; moments E[Y^k] = 1 / (1 + 2k/gamma).  Its
+    expectations split at y = 1/2, and each half is substituted so that the
+    quadrature sees no endpoint singularity the law puts there.
     """
     gamma: float
 
@@ -113,36 +108,69 @@ class VanishingKillingY:
     def moment(self, k: int) -> float:
         return 1.0 / (1.0 + 2.0 * k / self.gamma)
 
-    def expect(self, fn: Callable[[float], float]) -> float:
+    def _below_half(self, w):
+        """Nodes y and weights of the part y < 1/2, from w in [0, 1].
+
+        y = u^p with the integer p = ceil(6/gamma) turns the density into
+        (gamma p/2) u^(gamma p/2 - 1), a power of at least 2, and keeps an
+        integrand that is smooth in y smooth in u."""
         g = self.gamma
-        val = quad(lambda y: fn(y) * (g / 2.0) * y ** (g / 2.0 - 1.0), 0.0, 1.0,
-                   **_QUAD_OPTS)[0]
-        return float(val)
+        p = ceil(6.0 / g)
+        end = 0.5 ** (1.0 / p)
+        u = end * w
+        return u ** p, end * (0.5 * g * p) * u ** (0.5 * g * p - 1.0)
 
-    def gap_laplace(self, lam: float) -> float:
-        """E[e^(-lam (1 - Y))], robust for large lam.
+    def expect(self, fn: Callable) -> float:
+        """E[fn(Y, 1 - Y)] for an fn that takes arrays.
 
-        For lam beyond O(1) the mass sits in a width-1/lam layer at y = 1
-        that generic adaptive quadrature can miss entirely; substituting
-        s = lam (1-y) makes the integrand O(1) on a fixed window:
-
-            E[e^(-lam(1-Y))] = (g/2lam) int_0^lam (1 - s/lam)^(g/2-1) e^(-s) ds.
+        Below y = 1/2 as in _below_half.  Above it, y = 1 - v^2 hands fn the
+        gap 1 - y = v^2 exactly, and the Jacobian 2v cancels a (1 - y)^(-1/2)
+        singularity at y = 1.  Both halves are scaled onto [0, 1] and
+        integrated as one sum, to one tolerance.
         """
-        if lam < 0:
-            raise DomainError(f"lam must be >= 0, got {lam}")
-        if lam <= 1.0:
-            return self.expect(lambda y: exp(-lam * (1.0 - y)))
         g = self.gamma
-        hi = min(lam, 60.0 + g)
-        val = quad(lambda s: (1.0 - s / lam) ** (g / 2.0 - 1.0) * exp(-s),
-                   0.0, hi, **_QUAD_OPTS)[0]
-        return g / (2.0 * lam) * float(val)
+        end = sqrt(0.5)
+
+        def integrand(w):
+            y, weight = self._below_half(w)
+            v = end * w
+            gap = v * v
+            return (weight * fn(y, 1.0 - y)
+                    + end * g * v * (1.0 - gap) ** (0.5 * g - 1.0) * fn(1.0 - gap, gap))
+
+        return float(quad(integrand, 0.0, 1.0)[0])
+
+    def gap_laplace(self, lam):
+        """E[e^(-lam (1 - Y))] for lam >= 0, a float or an array of them.
+
+        Below y = 1/2 as in _below_half.  Above it the gap x = 1 - y is
+        scaled to x = h w with h = min(1/2, 40/lam): the layer of width 1/lam
+        at y = 1, which a fixed subdivision would miss at large lam, then
+        spans a fixed share of w in [0, 1], so one subdivision serves every
+        lam of an array, and past x = 40/lam the factor e^(-lam x) < 4e-18
+        carries no digit.
+        """
+        lam = np.asarray(lam, dtype=float)
+        if not (np.isfinite(lam) & (lam >= 0)).all():
+            raise DomainError(f"lam must be finite and >= 0, got {lam}")
+        g = self.gamma
+        h = 0.5 / np.maximum(1.0, lam / (2.0 * _GAP_LAYER))
+        lam, h = lam[..., None, None], h[..., None, None]
+
+        def integrand(w):
+            y, weight = self._below_half(w)
+            x = h * w
+            return (weight * np.exp(-lam * (1.0 - y))
+                    + 0.5 * g * h * np.exp(-lam * x) * (1.0 - x) ** (0.5 * g - 1.0))
+
+        value = quad(integrand, 0.0, 1.0)[0]
+        return float(value) if value.ndim == 0 else value
 
     def scaled_exp_moment(self, x: float, log_scale: float) -> float:
         """e^log_scale E[e^(xY)] with the exponents combined (no overflow)."""
         if x > 0:
             return exp(log_scale + x) * self.gap_laplace(x)
-        return exp(log_scale) * self.expect(lambda y: exp(x * y))
+        return exp(log_scale) * self.expect(lambda y, gap: np.exp(x * y))
 
     def describe(self) -> str:
         return f"Y ~ (gamma/2) y^(gamma/2-1), gamma = {self.gamma}"
@@ -263,7 +291,7 @@ def build_kappa_spec(ylaw: CorrelationMixture, grid) -> KappaSpec:
     return KappaSpec(ylaw, grid, order, _series_tail_bound(ylaw, order))
 
 
-def _series_tail_bound(ylaw, order: int, horizon: int = 1 << 20) -> float:
+def _series_tail_bound(ylaw, order: int) -> float:
     """Envelope bound on the truncated part of the covariance series at (0, 0).
 
     Uses |H_k(t)| e^(-t^2/4) / sqrt(k!) <= 1.1 k^(-1/4), so the dropped mass
@@ -271,13 +299,13 @@ def _series_tail_bound(ylaw, order: int, horizon: int = 1 << 20) -> float:
     over a geometric knot grid (M_k is nonincreasing) plus a ~1/k-decay
     extension past the horizon.
     """
-    knots = np.unique(np.geomspace(order + 1, horizon, 512).astype(np.int64))
+    knots = np.unique(np.geomspace(order + 1, _TAIL_HORIZON, 512).astype(np.int64))
     mk = np.array([ylaw.moment(int(k)) for k in knots])
     total = 0.0
     for i, lo in enumerate(knots):
-        hi = knots[i + 1] if i + 1 < len(knots) else horizon + 1
+        hi = knots[i + 1] if i + 1 < len(knots) else _TAIL_HORIZON + 1
         total += mk[i] * float(lo) ** -0.5 * float(hi - lo)
-    total += 2.0 * mk[-1] * sqrt(float(horizon))
+    total += 2.0 * mk[-1] * sqrt(float(_TAIL_HORIZON))
     return _HERMITE_ENVELOPE ** 2 * total / (2.0 * pi)
 
 
@@ -289,12 +317,14 @@ def kappa_sample(spec: KappaSpec, zetas: np.ndarray) -> np.ndarray:
     return spec.basis @ zetas
 
 
-def bivariate_normal_density(t: float, s: float, rho: float) -> float:
-    """Standard bivariate normal density with correlation rho."""
-    if not -1.0 < rho < 1.0:
-        raise DomainError(f"correlation must lie in (-1, 1), got {rho}")
-    q = (t * t + s * s - 2.0 * rho * (t * s)) / (1.0 - rho * rho)  # symmetric in (t, s) to the bit
-    return exp(-0.5 * q) / (2.0 * pi * sqrt(1.0 - rho * rho))
+def _normal_density(t: float, s: float, y, gap):
+    """Standard bivariate normal density at (t, s) with correlation y, given
+    y and gap = 1 - y as arrays.  The exponent's numerator (t-s)^2 + 2ts gap
+    and the determinant gap (1 + y) keep their digits as y -> 1, and both
+    are symmetric in (t, s) to the bit."""
+    det = gap * (1.0 + y)
+    q = ((t - s) ** 2 + 2.0 * (t * s) * gap) / det
+    return np.exp(-0.5 * q) / (2.0 * pi * np.sqrt(det))
 
 
 def kappa_cov(ylaw: CorrelationMixture, t: float, s: float,
@@ -307,12 +337,11 @@ def kappa_cov(ylaw: CorrelationMixture, t: float, s: float,
     The two agree exactly in the limit (the bivariate-normal kernel is the
     closed form of the full series); truncation error of the series route is
     bounded by the spec tail bound and decays only like order^(-1/2) for
-    moment sequences with M_k ~ 1/k.  t and s become Python floats, on which
-    the mixture integrand runs about 25% faster than on numpy scalars.
+    moment sequences with M_k ~ 1/k.
     """
     t, s = float(t), float(s)
     if method == "mixture":
-        return float(ylaw.expect(lambda y: bivariate_normal_density(t, s, y)))
+        return ylaw.expect(lambda y, gap: _normal_density(t, s, y, gap))
     if method != "series":
         raise DomainError(f"unknown method {method!r}")
     ht, hs = hermite_weighted_all(order, [t, s])
@@ -465,16 +494,9 @@ def parseval_check(ylaw: CorrelationMixture) -> tuple[float, float]:
     The two sides of the transform-plane energy identity.  The integrand
     e^{-theta^2} E[e^{theta^2 Y}] = E[e^{-theta^2 (1-Y)}] decays only
     algebraically when Y charges the neighbourhood of 1, hence the
-    boundary-layer-aware gap_laplace evaluation.
+    boundary-layer-aware gap_laplace, which takes every node of a round
+    at once.  Both sides are finite for every law the types admit.
     """
-    rhs = float(ylaw.expect(_inv_sqrt_gap))
-    if not np.isfinite(rhs):
-        raise DomainError("E[1/sqrt(1-Y)] diverges: correlation mass at 1")
-    lhs = 2.0 * quad(lambda th: ylaw.gap_laplace(th * th), 0.0, np.inf, **_QUAD_OPTS)[0]
+    rhs = ylaw.expect(lambda y, gap: np.sqrt(pi / gap))
+    lhs = 2.0 * float(quad(lambda th: ylaw.gap_laplace(th * th), 0.0, np.inf)[0])
     return lhs, rhs
-
-
-def _inv_sqrt_gap(y: float) -> float:
-    if y >= 1.0:
-        return np.inf
-    return sqrt(pi / (1.0 - y))

@@ -9,12 +9,13 @@ and the Walsh characters as an explicit sign vector.
 from math import exp, log, pi, sqrt
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import gammaln
 
 from cubefield import increments
 from cubefield.errors import DomainError
 from cubefield.field import SpectralNoise, spin_sum_all_vertices
-from cubefield.limits import _QUAD_OPTS, CorrelationMixture, kappa_cov, quad
+from cubefield.limits import VanishingKillingY, kappa_cov
 from cubefield.pointproc import YLaw, killed_measure_moments
 from cubefield.walk import GreenSpec, green_spectral
 
@@ -82,17 +83,19 @@ def exchangeable_field_from_spins(spec: GreenSpec, noise: SpectralNoise) -> np.n
     return total * 2.0 ** (-spec.N / 2.0)
 
 
-def parseval_time_side(ylaw: CorrelationMixture) -> tuple[float, float]:
+def parseval_time_side(ylaw: VanishingKillingY) -> tuple[float, float]:
     """(quadrature of integral Var(kappa_s) ds, closed form (1/(2 sqrt(pi))) E[(1-Y)^(-1/2)]).
 
     The direct-plane energy; equals the transform-plane value divided by 2 pi.
+    Both sides are QUADPACK integrals, the closed form over the Beta(gamma/2, 1)
+    density itself, so neither goes through the law's own quadrature.
     """
-    closed = float(ylaw.expect(lambda y: 1.0 / (2.0 * sqrt(pi) * sqrt(1.0 - y))
-                               if y < 1.0 else np.inf))
-    if not np.isfinite(closed):
-        raise DomainError("E[1/sqrt(1-Y)] diverges: correlation mass at 1")
+    g = ylaw.gamma
+    opts = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
+    closed = quad(lambda y: 0.5 * g * y ** (0.5 * g - 1.0) / (2.0 * sqrt(pi) * sqrt(1.0 - y)),
+                  0.0, 1.0, **opts)[0]
     quadval = 2.0 * quad(lambda s: kappa_cov(ylaw, s, s, method="mixture"),
-                         0.0, np.inf, **_QUAD_OPTS)[0]
+                         0.0, np.inf, **opts)[0]
     return quadval, closed
 
 

@@ -340,22 +340,31 @@ def test_repeat_runs_are_byte_identical(tmp_path, argv_builder):
             assert f1.read_bytes() == f2.read_bytes(), name
 
 
-def test_quadrature_modules_load_on_first_use(tmp_path):
-    # a fresh interpreter: the import loads no SciPy, and the full-cube commands never integrate
+def test_quadrature_never_loads_scipy_integrate(tmp_path):
+    # a fresh interpreter: the import loads no SciPy, and no route that integrates
+    # (the mixture covariance, Parseval, the transform covariances, the CLT check
+    # and the Beta spin's |xi|^theta split behind --laplace-out) loads scipy.integrate
     script = textwrap.dedent("""
         import math, sys
         import cubefield
         assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
         from cubefield import cli, limits
-        assert "scipy.integrate" not in sys.modules
         assert cli.main(["green", "--model", "definetti-beta", "--a", "2", "--b", "3",
                          "--N", "4", "--alpha", "0.6", "--out", "green.csv"]) == 0
         assert cli.main(["sample", "field", "--model", "iid-bernoulli", "--p", "0.3",
                          "--N", "5", "--alpha", "0.6", "--out", "field.csv"]) == 0
-        assert "scipy.integrate" not in sys.modules
-        cov = limits.kappa_cov(limits.VanishingKillingY(2.0), 0.5, -0.5, method="mixture")
+        ylaw = limits.VanishingKillingY(2.0)
+        cov = limits.kappa_cov(ylaw, 0.5, -0.5, method="mixture")
         assert math.isfinite(cov) and cov > 0
-        assert "scipy.integrate" in sys.modules
+        lhs, rhs = limits.parseval_check(ylaw)
+        assert math.isclose(lhs, rhs, rel_tol=1e-10)
+        assert limits.transform_cov(ylaw, 1.0, -0.5).full > 0
+        gaps = limits.levelset_clt_check(2.0, [50], [0.0, 0.5])
+        assert 0 < gaps[50] < 0.05
+        assert cli.main(["ylaw", "--model", "definetti-beta", "--a", "2", "--b", "3",
+                         "--alpha", "0.6", "--mc-draws", "100", "--out", "y.csv",
+                         "--laplace-out", "laplace.csv"]) == 0
+        assert "scipy.integrate" not in sys.modules, "scipy.integrate was loaded"
     """)
     src = str(Path(cubefield.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

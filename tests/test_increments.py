@@ -395,6 +395,23 @@ def test_abs_moment_split_at_zero_is_the_nonpositive_mass(model, nonpositive):
     assert model.abs_moment_split(0.0)[0] == nonpositive
 
 
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("a, b", [(0.05, 50.0), (0.3, 2.0), (1.0, 1.0), (2.5, 0.7),
+                                  (7.0, 4.0), (50.0, 0.05)])
+def test_beta_abs_moment_split_matches_the_hypergeometric_closed_form(a, b, theta):
+    # with w = t/2, E[(1-2w)^theta; w < 1/2] = 2^-a B(a, theta+1)
+    # 2F1(1-b, a; a+theta+1; 1/2) / B(a, b), and the other side swaps a and b;
+    # each half within 1e-13 relative of 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    halves = inc.DeFinettiBeta(a, b).abs_moment_split(theta)
+    with mpmath.workdps(50):
+        ma, mb, mt = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(theta)
+        for got, (p, q) in zip(halves, [(mb, ma), (ma, mb)]):
+            want = (mpmath.mpf(2) ** -p * mpmath.beta(p, mt + 1)
+                    * mpmath.hyp2f1(1 - q, p, p + mt + 1, 0.5) / mpmath.beta(p, q))
+            assert abs(got - want) <= 1e-13 * want, (got, float(want))
+
+
 @pytest.mark.parametrize("a, b", [(2.0, 3.0), (0.5, 0.5), (0.05, 50.0), (50.0, 0.05),
                                   (0.3, 0.7)])
 def test_beta_abs_moment_split_at_zero_is_the_incomplete_beta_tail(a, b):

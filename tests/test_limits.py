@@ -3,6 +3,8 @@ from math import comb, exp, pi, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import assert_within_3se, covariance_se, exact_levelset_cov, mean_and_se
@@ -11,7 +13,8 @@ from cubefield import field as fld
 from cubefield import increments as inc
 from cubefield import limits as lm
 from cubefield import walk
-from cubefield.errors import DomainError, NumericError
+from cubefield.errors import DomainError, NumericError, ResourceLimitError
+from cubefield.quadrature import quad as gk21
 
 DEFINETTI = inc.DeFinettiDiscrete((0.2, 0.7), (0.6, 0.4))
 GRID = (-1.5, -0.75, 0.0, 0.75, 1.5)
@@ -223,6 +226,143 @@ def test_kappa_odd_even_split(rng):
     assert odd[0] == pytest.approx(-odd[1], abs=1e-12)
     assert even[0] == pytest.approx((total[0] + total[1]) / 2, abs=1e-12)
     assert odd[0] == pytest.approx((total[0] - total[1]) / 2, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the package's quadrature against QUADPACK and mpmath
+#
+# QUADPACK's QAWS integrates f(x) (x-a)^alpha (b-x)^beta with the endpoint
+# powers as weights, so the Beta(gamma/2, 1) density and the (1-y)^(-1/2) of
+# the diagonal never reach its rule: an oracle that shares neither the
+# package's rule nor its substitutions.
+
+_QUADPACK = dict(epsabs=0.0, epsrel=2e-14, limit=400)
+_GAMMAS = st.floats(min_value=0.2, max_value=100.0)
+_POINTS = st.floats(min_value=-3.0, max_value=3.0)
+
+
+def _quadpack_mixture(gamma, t, s):
+    """E[n(t, s; Y)] in x = 1 - Y, with x^(-1/2) (1-x)^(gamma/2-1) as the QAWS weight."""
+    def f(x):
+        if x == 0.0:  # QAWS evaluates the endpoints: the limit of the exponent there
+            return exp(-0.5 * t * t) / (2 * pi * sqrt(2.0)) if t == s else 0.0
+        return exp(-0.5 * ((t - s) ** 2 + 2 * t * s * x) / (x * (2 - x))) / (2 * pi * sqrt(2 - x))
+    return 0.5 * gamma * quad(f, 0.0, 1.0, weight="alg", wvar=(-0.5, 0.5 * gamma - 1),
+                              **_QUADPACK)[0]
+
+
+def _quadpack_gap_laplace(gamma, lam):
+    """(gamma/2) int_0^1 e^(-lam x) (1-x)^(gamma/2-1) dx, split where the layer at x = 0 ends."""
+    cut = min(0.5, 50.0 / lam)
+    near = quad(lambda x: exp(-lam * x) * (1 - x) ** (0.5 * gamma - 1), 0.0, cut, **_QUADPACK)[0]
+    far = quad(lambda x: exp(-lam * x), cut, 1.0, weight="alg", wvar=(0.0, 0.5 * gamma - 1),
+               **_QUADPACK)[0]
+    return 0.5 * gamma * (near + far)
+
+
+def _close(got, want, rel):
+    return abs(got - want) <= rel * abs(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_GAMMAS, _POINTS, _POINTS, st.booleans())
+def test_mixture_covariance_matches_quadpack(gamma, t, s, diagonal):
+    s = t if diagonal else s
+    got = lm.kappa_cov(lm.VanishingKillingY(gamma), t, s, method="mixture")
+    want = _quadpack_mixture(gamma, t, s)
+    assert _close(got, want, 1e-12), (got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_GAMMAS, st.floats(min_value=-3.0, max_value=4.0))
+def test_gap_laplace_matches_quadpack(gamma, log_lam):
+    lam = 10.0 ** log_lam
+    got = lm.VanishingKillingY(gamma).gap_laplace(lam)
+    want = _quadpack_gap_laplace(gamma, lam)
+    assert _close(got, want, 1e-12), (got, want)
+
+
+def test_gap_laplace_takes_an_array_of_lam():
+    ylaw = lm.VanishingKillingY(1.5)
+    lam = np.array([[0.0, 1e-3, 0.5], [7.0, 150.0, 1e6]])
+    got = ylaw.gap_laplace(lam)
+    assert got.shape == lam.shape and got[0, 0] == pytest.approx(1.0, rel=1e-15)
+    for value, one in zip(got.ravel(), lam.ravel()):
+        assert _close(value, ylaw.gap_laplace(float(one)), 1e-13)
+    for bad in (-1.0, np.inf, np.nan, [1.0, -2.0]):
+        with pytest.raises(DomainError):
+            ylaw.gap_laplace(bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_GAMMAS, _POINTS, _POINTS)
+def test_scaled_exp_moment_of_both_signs_matches_quadpack(gamma, theta, phi):
+    ylaw = lm.VanishingKillingY(gamma)
+    log_scale = -0.5 * (theta * theta + phi * phi)
+    for x in (theta * phi, -theta * phi):
+        want = exp(log_scale) * 0.5 * gamma * quad(
+            lambda y: exp(x * y), 0.0, 1.0, weight="alg", wvar=(0.5 * gamma - 1, 0.0),
+            **_QUADPACK)[0]
+        got = ylaw.scaled_exp_moment(x, log_scale)
+        assert _close(got, want, 1e-12), (x, got, want)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_GAMMAS)
+def test_parseval_sides_match_quadpack(gamma):
+    # both sides equal sqrt(pi) E[(1-Y)^(-1/2)] = sqrt(pi) (gamma/2) B(gamma/2, 1/2)
+    lhs, rhs = lm.parseval_check(lm.VanishingKillingY(gamma))
+    want = sqrt(pi) * 0.5 * gamma * quad(lambda y: 1.0, 0.0, 1.0, weight="alg",
+                                         wvar=(0.5 * gamma - 1, -0.5), **_QUADPACK)[0]
+    assert _close(lhs, want, 1e-12) and _close(rhs, want, 1e-12), (lhs, rhs, want)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_GAMMAS, _POINTS)
+def test_mixture_diagonal_matches_mpmath(gamma, t):
+    # the diagonal density is (1-y)^(-1/2)-singular at y = 1, where QUADPACK's
+    # extrapolation left 1e-13; 30 digits, with y = u^(2/gamma) below 1/2 and
+    # 1 - y = v^2 above, hold it to 1e-14
+    mpmath = pytest.importorskip("mpmath")
+    got = lm.kappa_cov(lm.VanishingKillingY(gamma), t, t, method="mixture")
+    with mpmath.workdps(30):
+        g, mt = mpmath.mpf(gamma), mpmath.mpf(t)
+
+        def density(y, gap):
+            det = gap * (1 + y)
+            return mpmath.exp(-mt * mt * gap / det) / (2 * mpmath.pi * mpmath.sqrt(det))
+
+        lower = mpmath.quad(lambda u: density(u ** (2 / g), 1 - u ** (2 / g)),
+                            [0, mpmath.mpf(2) ** (-g / 2)])
+        upper = mpmath.quad(lambda v: g * v * (1 - v * v) ** (g / 2 - 1)
+                            * density(1 - v * v, v * v), [0, mpmath.sqrt(0.5)])
+        want = lower + upper
+    assert abs(got - want) <= 1e-14 * want, (got, float(want))
+
+
+def test_quad_value_error_batch_and_infinite_range():
+    value, error = gk21(np.exp, 0.0, 1.0)
+    assert value == pytest.approx(np.e - 1.0, rel=1e-15) and 0 < error < 1e-13
+    value, _ = gk21(lambda x: np.exp(-x), 2.0, np.inf)
+    assert value == pytest.approx(exp(-2.0), rel=1e-14)
+    values, errors = gk21(lambda x: np.stack([np.cos(x), np.sin(x)]), 0.0, pi / 2)
+    assert values.shape == errors.shape == (2,)
+    assert values == pytest.approx([1.0, 1.0], rel=1e-15)
+
+
+def test_quad_refuses_a_non_finite_integrand():
+    with pytest.raises(NumericError):
+        gk21(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)
+
+
+def test_quad_raises_past_its_panel_and_node_limits():
+    # the integral of sin over a period is 0, so its relative tolerance is
+    # below the roundoff floor of every panel: the rule runs out of panels,
+    # or, for a batch of such integrands, out of nodes per round first
+    with pytest.raises(NumericError, match="did not converge"):
+        gk21(np.sin, 0.0, 2.0 * pi)
+    with pytest.raises(ResourceLimitError):
+        gk21(lambda x: np.sin(x) * np.ones((8000, 1, 1)), 0.0, 2.0 * pi)
 
 
 # ---------------------------------------------------------------------------
