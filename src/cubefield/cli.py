@@ -36,6 +36,14 @@ def _write_csv(path, header, rows):
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
+def _bit_strings(width: int) -> list[str]:
+    """The width-digit binary string of every integer in [0, 2^width), in order."""
+    table = [""]
+    for _ in range(width):
+        table = ["0" + b for b in table] + ["1" + b for b in table]
+    return table
+
+
 def _write_json(path, payload):
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
@@ -91,12 +99,16 @@ def cmd_green(args) -> int:
                                "rows": [[x, y, values[x ^ y]]
                                         for x in range(n) for y in range(n)]})
     else:
-        # the same bytes as csv.writer: no field here needs quoting
-        reps = [repr(v) for v in values]
+        # the same bytes as csv.writer: no field here needs quoting.  One
+        # write per x: its rows are the "y," column beside reps[y ^ x]
+        reps = np.array([repr(v) for v in values], dtype=object)
+        y_col = [f"{y}," for y in range(n)]
+        idx = np.arange(n)
         with open(args.out, "w", newline="") as fh:
             fh.write("x,y,value\r\n")
             for x in range(n):
-                fh.writelines(f"{x},{y},{reps[x ^ y]}\r\n" for y in range(n))
+                fh.write(f"{x}," + f"\r\n{x},".join(map(str.__add__, y_col, reps[idx ^ x]))
+                         + "\r\n")
     summary = {
         "command": "green",
         "model_spec": increments.model_to_dict(model),
@@ -159,15 +171,21 @@ def cmd_sample_field(args) -> int:
     noise = field.SpectralNoise.draw(args.N, replicate_rng(args.seed, 0))
     sample = field.sample_field_spectral(spec, noise)
     values = sample.values.tolist()
+    half = args.N // 2  # x_bits of x is hi[x >> half] + lo[x & (2^half - 1)]
+    hi, lo = _bit_strings(args.N - half), _bit_strings(half)
     if args.format == "json":
+        bits = (h + low for h in hi for low in lo)
         _write_json(args.out, {"header": ["x_bits", "value"],
-                               "rows": [[format(x, f"0{args.N}b"), v]
-                                        for x, v in enumerate(values)]})
+                               "rows": [[b, v] for b, v in zip(bits, values)]})
     else:
-        # the same bytes as csv.writer: no field here needs quoting
+        # the same bytes as csv.writer: no field here needs quoting.  One
+        # write per value i of the high half: the 2^half rows of x >> half == i
+        lo_cols = [low + "," for low in lo]
         with open(args.out, "w", newline="") as fh:
             fh.write("x_bits,value\r\n")
-            fh.writelines(f"{x:0{args.N}b},{v!r}\r\n" for x, v in enumerate(values))
+            for i, h in enumerate(hi):
+                reps = map(repr, values[i << half:(i + 1) << half])
+                fh.write(h + f"\r\n{h}".join(map(str.__add__, lo_cols, reps)) + "\r\n")
     return 0
 
 

@@ -4,14 +4,20 @@ Vertices of {0,1}^N and subsets A of [N] share one encoding: an N-bit
 integer whose bit j-1 carries entry/index j.  The character of subset A
 evaluated at vertex x is (-1)^popcount(A & x), so every spectral sum in
 this package is a Walsh-Hadamard transform of some coefficient vector.
+
+The transform matrix factors over any split of the index bits into groups of
+adjacent bits, H_{2^N} = H_{2^k1} (x) ... (x) H_{2^km} (Kronecker product), so
+the transform runs as one small Hadamard matrix product per group.
 """
+
+from functools import cache
 
 import numpy as np
 
 from .errors import DomainError
 
 _BLOCK = 1 << 15  # float64 entries per cache block (256 KiB)
-_LOW = 16  # strides below this run on a transposed copy of the block
+_FACTOR_BITS = 4  # index bits per Kronecker factor: matrices of at most 16 x 16
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
@@ -19,7 +25,7 @@ def fwht(values: np.ndarray) -> np.ndarray:
 
     Returns W with W[..., x] = sum_z (-1)^popcount(x & z) * values[..., z].
     The transform matrix is symmetric and W(W(v)) = 2^N * v.  The input is
-    never written: the butterflies run on a float64 copy.
+    never written: the transform runs on a float64 copy.
     """
     a = np.array(values, dtype=np.float64, copy=True)
     _fwht_inplace(a)
@@ -29,19 +35,22 @@ def fwht(values: np.ndarray) -> np.ndarray:
 def _fwht_inplace(a: np.ndarray) -> None:
     """fwht of a C-contiguous float64 array, overwriting it.
 
-    The radix-2 butterflies run at strides h = 1, 2, 4, ... in that order, in
-    three passes over blocks of _BLOCK entries (256 KiB) that stay in cache:
+    The index bits are cut into groups of at most _FACTOR_BITS adjacent bits,
+    and each group is one Kronecker factor, one BLAS matrix product (see
+    _kron).  Two passes keep the operands in cache:
 
-    1. strides below _LOW, on a transposed copy of each block, so that every
-       inner loop runs over the block's columns rather than over h entries;
-    2. strides from _LOW up to the block length, in place on each block;
-    3. strides of a block length and more (rows longer than _BLOCK): each row
-       is viewed as (n / _BLOCK, _BLOCK) and transformed down its columns,
-       one slab of columns at a time, through the same copy buffer.
+    1. the bits below a block, on each block of _BLOCK entries (256 KiB:
+       whole rows, or a part of one row), the products alternating between
+       the block and a buffer of the block's size;
+    2. the bits of a block length and more (rows longer than _BLOCK): each
+       row is viewed as (n / _BLOCK, _BLOCK) and transformed down its
+       columns, one slab of columns at a time, copied into that buffer and
+       a second one and back.
 
-    Every output is the same add or subtract of the same two floats as in an
-    out-of-place stage.  Two buffers, of at most _BLOCK and _BLOCK / 2
-    entries, serve all passes (they grow only for rows longer than _BLOCK^2).
+    Every entry of a factor is +-1, so each product is exact and only the
+    order of the additions depends on the grouping: on integer-valued inputs
+    whose sums stay below 2^53 the result is exact.  The two buffers hold at
+    most _BLOCK entries each (more only for rows longer than _BLOCK^2).
     """
     n = a.shape[-1]
     if n == 0 or (n & (n - 1)) != 0:
@@ -49,46 +58,67 @@ def _fwht_inplace(a: np.ndarray) -> None:
     if a.dtype != np.float64 or not a.flags.c_contiguous:
         raise ValueError("in-place transform needs a C-contiguous float64 array")
     flat = a.reshape(-1)
-    span = min(n, _BLOCK)  # transform length inside one block
-    low = min(n, _LOW)
+    bits = n.bit_length() - 1
+    low = min(bits, _BLOCK.bit_length() - 1)  # bits transformed inside one block
+    span = 1 << low
     slabs = n // span
     buf = np.empty(max(min(flat.size, _BLOCK), slabs))
-    scratch = np.empty(buf.size // 2)
+    factors = _factors(0, low)
     for start in range(0, flat.size, _BLOCK):  # whole rows, or a part of one row
         block = flat[start:start + _BLOCK]
-        cols = block.size // low
-        t = buf[:block.size].reshape(low, cols)
-        np.copyto(t, block.reshape(cols, low).T)
-        _butterflies(t.reshape(1, low, cols), scratch)
-        np.copyto(block.reshape(cols, low).T, t)
-        _butterflies(block.reshape(-1, span // low, low), scratch)
+        out = _kron(block, buf[:block.size], factors)
+        if out is not block:
+            np.copyto(block, out)
     if slabs > 1:
         width = max(1, _BLOCK // slabs)
-        t = buf[:slabs * width].reshape(1, slabs, width)
+        shift = width.bit_length() - 1  # a slab's row index starts above its column bits
+        factors = _factors(shift, shift + bits - low)
+        spare = np.empty(buf.size)
         for row in flat.reshape(-1, slabs, span):
             for j in range(0, span, width):
                 slab = row[:, j:j + width]
-                np.copyto(t[0], slab)
-                _butterflies(t, scratch)
-                np.copyto(slab, t[0])
+                np.copyto(buf.reshape(slabs, width), slab)
+                out = _kron(buf, spare, factors)
+                np.copyto(slab, out.reshape(slabs, width))
 
 
-def _butterflies(v: np.ndarray, scratch: np.ndarray) -> None:
-    """Every radix-2 stage along the middle axis of a C-contiguous (outer, R, inner) array.
+def _factors(lo: int, hi: int) -> list[tuple[int, int]]:
+    """(lowest bit, bit count) of each Kronecker factor over bits [lo, hi).
 
-    Each stage saves the top halves in ``scratch``, then writes top + bottom
-    over the top and top - bottom over the bottom.
+    The fewest factors of at most _FACTOR_BITS bits, their sizes as even as
+    possible.
     """
-    outer, r, inner = v.shape
-    h = 1
-    while h < r:
-        b = v.reshape(outer, r // (2 * h), 2, h * inner)
-        top, bot = b[:, :, 0], b[:, :, 1]
-        t = scratch[:top.size].reshape(top.shape)
-        np.copyto(t, top)
-        np.add(t, bot, out=top)
-        np.subtract(t, bot, out=bot)
-        h *= 2
+    count = -(-(hi - lo) // _FACTOR_BITS)
+    cuts = [lo] + [lo + (hi - lo) * i // count for i in range(1, count + 1)]
+    return [(a, b - a) for a, b in zip(cuts, cuts[1:])]
+
+
+def _kron(src: np.ndarray, dst: np.ndarray, factors) -> np.ndarray:
+    """Apply H_{2^k} along bits [lo, lo + k) of the flat index for each factor.
+
+    One matrix product per factor, from src into dst and back; src and dst
+    are flat arrays of one size, both overwritten.  Returns the one that
+    holds the result.
+    """
+    for lo, k in factors:
+        h = _hadamard(k)
+        if lo == 0:  # the lowest bits: one (M, 2^k) @ (2^k, 2^k) product
+            np.matmul(src.reshape(-1, h.shape[0]), h, out=dst.reshape(-1, h.shape[0]))
+        else:  # H @ (2^k, 2^lo) for every value of the bits above
+            shape = (-1, h.shape[0], 1 << lo)
+            np.matmul(h, src.reshape(shape), out=dst.reshape(shape))
+        src, dst = dst, src
+    return src
+
+
+@cache
+def _hadamard(k: int) -> np.ndarray:
+    """The 2^k x 2^k Sylvester matrix, (-1)^popcount(x & z); read-only."""
+    h = np.ones((1, 1))
+    for _ in range(k):
+        h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
+    return h
 
 
 def popcounts(n_bits: int) -> np.ndarray:

@@ -118,8 +118,13 @@ def write_rows_with_csv_writer(path, header, rows):
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
+# N = 1, 2, 5 and 9 add tiny cubes and both odd and even splits of x_bits
 @pytest.mark.parametrize("model_args, N", [(["--model", "single-flip"], 3),
-                                           (["--model", "iid-bernoulli", "--p", "0.3"], 10)])
+                                           (["--model", "iid-bernoulli", "--p", "0.3"], 10),
+                                           (["--model", "single-flip"], 1),
+                                           (["--model", "iid-bernoulli", "--p", "0.3"], 2),
+                                           (["--model", "single-flip"], 5),
+                                           (["--model", "iid-bernoulli", "--p", "0.3"], 9)])
 def test_sample_field_files_match_generic_writers(tmp_path, model_args, N):
     seed, alpha = 7, 0.6
     args = ["sample", "field", *model_args, "--N", str(N), "--alpha", str(alpha),
@@ -138,7 +143,11 @@ def test_sample_field_files_match_generic_writers(tmp_path, model_args, N):
 
 
 @pytest.mark.parametrize("model_args, N", [(["--model", "single-flip"], 3),
-                                           (["--model", "iid-bernoulli", "--p", "0.3"], 6)])
+                                           (["--model", "iid-bernoulli", "--p", "0.3"], 6),
+                                           (["--model", "single-flip"], 1),
+                                           (["--model", "iid-bernoulli", "--p", "0.3"], 2),
+                                           (["--model", "single-flip"], 5),
+                                           (["--model", "iid-bernoulli", "--p", "0.3"], 9)])
 def test_green_files_match_generic_writers(tmp_path, model_args, N):
     alpha = 0.6
     args = ["green", *model_args, "--N", str(N), "--alpha", str(alpha)]

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -67,14 +68,22 @@ def test_batch_matches_rows(rng):
         assert np.array_equal(out[i], fwht(batch[i]))
 
 
+def integer_valued(rng, shape):
+    """Floats with integer values below 2^20 in magnitude: every partial sum of
+    a transform of up to 2^32 entries is an integer below 2^53, so any correct
+    order of additions gives the exact, and therefore the same, result."""
+    return rng.integers(-(1 << 20) + 1, 1 << 20, size=shape).astype(np.float64)
+
+
 # rows up to 2^18 and batches on both sides of the 2^15-entry cache block:
-# lengths past 2^15 reach the column-slab pass, short rows share a block
+# lengths past 2^15 reach the column-slab pass, short rows share a block;
+# the last row is the largest one the cube-large benchmark transforms
 @pytest.mark.parametrize("shape", (
     [(1 << k,) for k in range(13)] + [(7, 64)] + [(1 << k,) for k in range(13, 19)]
     + [(4001, 1024), (20000, 64), (3, 1 << 16), (5, 1 << 17), (2, 3, 1 << 15),
-       (1, 1), (5, 2)]))
+       (1, 1), (5, 2), (1 << 22,)]))
 def test_in_place_butterflies_equal_stacked_stages(rng, shape):
-    v = rng.standard_normal(shape)
+    v = integer_valued(rng, shape)
     assert np.array_equal(fwht(v), stacked_fwht(v))
 
 
@@ -82,8 +91,31 @@ def test_in_place_butterflies_equal_stacked_stages(rng, shape):
 @given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=17),
        st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_blocked_butterflies_equal_stacked_stages_sweep(rows, k, seed):
-    v = np.random.default_rng(seed).standard_normal((rows, 1 << k))
+    v = integer_valued(np.random.default_rng(seed), (rows, 1 << k))
     assert np.array_equal(fwht(v), stacked_fwht(v))
+
+
+def exact_entry(row, x):
+    """W[x] of one row, correctly rounded: math.fsum of the signed entries."""
+    signs = np.bitwise_count(np.arange(row.size) & x) & 1
+    return math.fsum(np.where(signs, -row, row).tolist())
+
+
+# every entry of rows up to 2^8, a sample of the longer ones (x = 0 included),
+# on both passes and on batches that fill and cross a cache block.  Normal
+# inputs stay far inside the bound; it is not a worst-case bound, which for a
+# 16-term sum in an arbitrary order is 15 units per factor
+@pytest.mark.parametrize("shape", [(1,), (2,), (7, 64), (3, 256), (40, 1024),
+                                   (1 << 15,), (2, 1 << 17)])
+def test_rounding_error_is_at_most_n_plus_one_ulps_of_the_absolute_sum(rng, shape):
+    v = rng.standard_normal(shape).reshape(-1, shape[-1])
+    out = fwht(v)
+    n = v.shape[-1]
+    N = n.bit_length() - 1
+    for row, got in zip(v, out):
+        xs = np.arange(n) if n <= 256 else np.append(0, rng.integers(n, size=max(3, (1 << 16) // n)))
+        err = np.array([abs(got[x] - exact_entry(row, x)) for x in xs])
+        assert np.all(err <= (N + 1) * 2.0 ** -52 * np.abs(row).sum())
 
 
 def test_fwht_peak_memory_is_one_copy(rng):
