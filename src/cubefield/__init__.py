@@ -22,10 +22,9 @@ from .limits import (FixedCorrelation, KappaSpec, VanishingKillingY,
                      kappa_sample, levelset_clt_check, levelset_cov,
                      levelset_direct, levelset_representation,
                      parseval_check, transform_cov, transform_sample)
-from .pointproc import (YLaw, beta_example_density, evolve_measure,
+from .pointproc import (EvolvedMeasure, YLaw, beta_example_density,
                         joint_sign_laplace, killed_measure_moments,
-                        laplace_neg_log_abs, moment_Y, sample_Y, sample_Y_phi,
-                        sign_probability)
+                        laplace_neg_log_abs, moment_Y, sample_Y, sign_probability)
 from .polynomials import KrawtchoukBasis, hermite_eval, krawtchouk_eval
 from .walk import (GreenSpec, coupon_collector_prob, green_hamming,
                    green_matrix_oracle, green_spectral, sample_killed_endpoint,

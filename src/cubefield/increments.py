@@ -40,6 +40,8 @@ _FIRST_CHUNK, _LAST_CHUNK = 64, 4096
 _SPIN_CHUNK = 1 << 18
 # columns per Markov doubling step: two planes of 2^15 float64 are 512 KiB
 _MARKOV_CHUNK = 1 << 15
+# entries of one cached moment table (_table_length): 128 MiB of float64
+_MOMENT_TABLE_CAP = 1 << 24
 
 
 def killing_gap(c, rho):
@@ -51,6 +53,13 @@ def _killing_c(alpha) -> float:
     if alpha is None or not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
     return alpha / (1.0 - alpha)
+
+
+def _positive(**values):
+    """DomainError unless each value is in (0, inf); NaN is not."""
+    for name, value in values.items():
+        if not 0.0 < value < float("inf"):
+            raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
 class IncrementModel:
@@ -306,8 +315,7 @@ class DeFinettiBeta(_DeFinetti):
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise DomainError("Beta parameters must be positive")
+        _positive(a=self.a, b=self.b)
 
     def rho(self, k, N=None):
         """E[(1-2w)^k] for w ~ Beta(a,b), from a cached table of the moments.
@@ -361,8 +369,7 @@ class SymmetricBetaSpin(_DeFinetti):
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise DomainError("Beta parameters must be positive")
+        _positive(a=self.a, b=self.b)
 
     def rho(self, k, N=None):
         if k % 2 == 1:
@@ -616,8 +623,7 @@ class LimitLinear(_Limit):
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise DomainError("gamma must be positive")
+        _positive(gamma=self.gamma)
 
     def gap(self, k, N=None, alpha=None):
         return 2.0 * k / self.gamma
@@ -633,8 +639,7 @@ class LimitPoissonDirichlet(_Limit):
     kappa: float
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise DomainError("kappa must be positive")
+        _positive(kappa=self.kappa)
 
     def gap(self, k, N=None, alpha=None):
         """b_k = 2 sum_{j<k} E[(1-2w)^j] for w ~ Beta(1, kappa).
@@ -654,8 +659,12 @@ class LimitPoissonDirichlet(_Limit):
 
 
 def _table_length(k: int) -> int:
-    """A power of two above k, so one cached table serves every size below it."""
-    return 1 << k.bit_length()
+    """A power of two above k, so one cached table serves every size below it;
+    past _MOMENT_TABLE_CAP entries ResourceLimitError, before any allocation."""
+    length = 1 << k.bit_length()
+    if length > _MOMENT_TABLE_CAP:
+        raise ResourceLimitError(f"size {k} needs a moment table of {length} > 2^24 entries")
+    return length
 
 
 def _spin_moments(a: float, b: float):

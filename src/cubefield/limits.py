@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .field import FieldSample
 from .polynomials import hermite_weighted_all, krawtchouk_weighted_matrix
-from .increments import SingleFlip
+from .increments import SingleFlip, _positive
 from .quadrature import quad
 from .walk import GreenSpec
 from .walsh import popcounts
@@ -102,8 +102,7 @@ class VanishingKillingY:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
+        _positive(gamma=self.gamma)
 
     def moment(self, k: int) -> float:
         return 1.0 / (1.0 + 2.0 * k / self.gamma)
@@ -280,6 +279,7 @@ def build_kappa_spec(ylaw: CorrelationMixture, grid) -> KappaSpec:
     grid = tuple(float(t) for t in grid)
     if not grid:
         raise DomainError("the evaluation grid is empty")
+    _require_finite(grid)
     mk = np.array([ylaw.moment(k) for k in range(TRUNCATION_CAP + 1)])
     terms = mk * hermite_weighted_all(TRUNCATION_CAP, grid) ** 2  # rows t, columns k
     starts = np.arange(1, TRUNCATION_CAP + 1, TRUNCATION_STEP)  # first degree of each step
@@ -307,6 +307,11 @@ def _series_tail_bound(ylaw, order: int) -> float:
         total += mk[i] * float(lo) ** -0.5 * float(hi - lo)
     total += 2.0 * mk[-1] * sqrt(float(_TAIL_HORIZON))
     return _HERMITE_ENVELOPE ** 2 * total / (2.0 * pi)
+
+
+def _require_finite(points):
+    if not np.all(np.isfinite(points)):
+        raise DomainError(f"points must be finite, got {points}")
 
 
 def kappa_sample(spec: KappaSpec, zetas: np.ndarray) -> np.ndarray:
@@ -340,6 +345,7 @@ def kappa_cov(ylaw: CorrelationMixture, t: float, s: float,
     moment sequences with M_k ~ 1/k.
     """
     t, s = float(t), float(s)
+    _require_finite((t, s))
     if method == "mixture":
         return ylaw.expect(lambda y, gap: _normal_density(t, s, y, gap))
     if method != "series":
@@ -435,8 +441,7 @@ def transform_weight_matrices(spec: KappaSpec, thetas) -> tuple[np.ndarray, np.n
     """
     from scipy.special import gammaln
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if not np.all(np.isfinite(thetas)):
-        raise DomainError("transform weights need finite theta values")
+    _require_finite(thetas)
     m = spec.half_moments
     j = np.concatenate([np.arange(0, spec.order + 1, 2), np.arange(1, spec.order + 1, 2)])
     n_even = (spec.order + 2) // 2

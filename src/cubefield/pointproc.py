@@ -16,33 +16,20 @@ The phi-th convolution root Y_phi (negative-binomial point process, seen
 as a mixed Poisson process) satisfies E[Y_phi^k] = E[Y^k]^phi; every
 closed form below is (1 + c (1 - m))^(-phi) of one spin expectation m.
 
-This module draws T and holds the closed forms; the spin law itself
+This module draws the spin count (T at phi = 1, the mixed Poisson count
+otherwise) and holds the closed forms; the spin law itself
 multiplies its spins (`log_products` in increments), as (sign, log|Y|)
 pairs so products of hundreds of spins cannot underflow.
 """
 
+import sys
 from dataclasses import dataclass
 from math import comb, expm1, log, log1p
 
 import numpy as np
 
 from . import increments
-from .errors import DomainError
-
-# ---------------------------------------------------------------------------
-# spin measures: the de Finetti increment models themselves
-
-
-SpinMeasure = increments.IIDBernoulli | increments.DeFinettiDiscrete \
-    | increments.DeFinettiBeta | increments.SymmetricBetaSpin
-
-
-def spin_measure_of(model) -> SpinMeasure:
-    """The spin measure attached to a mixture-type increment model: the model itself."""
-    if not model.is_definetti:
-        raise DomainError(f"{type(model).__name__} carries no spin measure")
-    return model
-
+from .errors import DomainError, NumericError, ResourceLimitError
 
 # ---------------------------------------------------------------------------
 # the product law
@@ -54,24 +41,30 @@ class YLaw:
 
     phi = 1 is the geometric construction Y; phi = 1/2 is the half process
     entering the field's spin representation.  The walk starts at the
-    origin, so the empty product (no spins) is +1.
+    origin, so the empty product (no spins) is +1.  The spin measure is a
+    de Finetti increment law itself; any other law raises DomainError here.
     """
-    spin: SpinMeasure
+    spin: increments.IncrementModel
     alpha: float
     phi: float = 1.0
 
     def __post_init__(self):
+        _require_spin_law(self.spin)
         increments._killing_c(self.alpha)
-        if self.phi <= 0:
-            raise DomainError(f"phi must be positive, got {self.phi}")
+        increments._positive(phi=self.phi)
 
     @classmethod
     def from_model(cls, model, alpha, phi=1.0) -> "YLaw":
-        return cls(spin_measure_of(model), alpha, phi)
+        return cls(model, alpha, phi)
 
     @property
     def c(self) -> float:
         return increments._killing_c(self.alpha)
+
+
+def _require_spin_law(spin):
+    if not getattr(spin, "is_definetti", False):
+        raise DomainError(f"{type(spin).__name__} carries no spin measure")
 
 
 def _resolvent(law: YLaw, deficit: float) -> float:
@@ -81,28 +74,33 @@ def _resolvent(law: YLaw, deficit: float) -> float:
 
 
 def moment_Y(law: YLaw, k: int) -> float:
-    """E[Y_phi^k] = (1 + c (1 - rho_k))^(-phi)."""
-    if k < 0:
-        raise DomainError(f"moment order must be >= 0, got {k}")
+    """E[Y_phi^k] = (1 + c (1 - rho_k))^(-phi); rho_k refuses k < 0."""
     return _resolvent(law, 1.0 - increments.rho_k(law.spin, k))
 
 
 def sample_Y_signed_log(law: YLaw, rng: np.random.Generator,
                         size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sign, log|Y|) pairs for the geometric (phi = 1) construction.
+    """(sign, log|Y_phi|) pairs: the product of a random number of i.i.d. spins.
 
-    sign is in {-1, 0, +1}; a zero spin gives sign 0 and log|Y| = -inf.
-    T is drawn by inversion, then the product of T spins by the spin law's
-    `log_products`.
+    sign is in {-1, 0, +1}; a zero spin gives sign 0 and log|Y| = -inf.  The
+    count is the geometric T by inversion at phi = 1, else Poisson(lambda c)
+    with lambda ~ Gamma(phi) (the same law at phi = 1); the spin law's
+    `log_products` multiplies the spins.
     """
-    if law.phi != 1.0:
-        raise DomainError("the geometric construction is the phi = 1 law; use sample_Y_phi")
-    u = rng.random(size)
-    np.subtract(1.0, u, out=u)
-    np.log(u, out=u)
-    u /= log(law.alpha)
-    counts = np.floor(u, out=u).astype(np.int64)
-    del u
+    if size < 0:
+        raise DomainError(f"size must be >= 0, got {size}")
+    if law.phi == 1.0:
+        u = rng.random(size)
+        np.log(np.subtract(1.0, u, out=u), out=u)
+        u /= log(law.alpha)
+        counts = np.floor(u, out=u).astype(np.int64)
+        del u
+    else:
+        lam = rng.gamma(law.phi, size=size) * law.c
+        try:
+            counts = rng.poisson(lam).astype(np.int64)
+        except ValueError:  # numpy's Poisson stops short of lambda = 2^63
+            raise ResourceLimitError(f"a Poisson spin count near 2^63 at phi = {law.phi}") from None
     return law.spin.log_products(counts, rng)
 
 
@@ -114,30 +112,19 @@ def _signed_exp(signs, logs, size):
 
 
 def sample_Y(law: YLaw, rng: np.random.Generator, size: int | None = None):
-    """Y itself (phi = 1): the product of T_alpha i.i.d. spins.
+    """Y_phi: the product of T_alpha i.i.d. spins at phi = 1, of a
+    Gamma(phi)-mixed Poisson number of them otherwise (`sample_Y_signed_log`).
 
-    Route: T by inversion of a uniform, the product of T spins from the
-    atom counts (point-mass laws) or from chunked spin draws (continuous
-    laws), then sign * exp(log|Y|); see the spin law's `log_products`.  The
-    tracemalloc peak is a few arrays of `size` floats plus O(2^18) per
-    chunk, at any alpha: 10^6 draws of DeFinettiDiscrete((0.2, 0.9),
-    (0.5, 0.5)) at alpha = 0.75 stay under 32 MiB.  With one atom x, log|Y|
-    is within half an ulp of T log|x|.
+    Route: the count, the product of its spins from the atom counts
+    (point-mass laws) or from chunked spin draws (continuous laws), then
+    sign * exp(log|Y|); see the spin law's `log_products`.  The tracemalloc
+    peak is a few arrays of `size` floats plus O(2^18) per chunk, at any
+    alpha: 10^6 draws of DeFinettiDiscrete((0.2, 0.9), (0.5, 0.5)) at
+    alpha = 0.75 stay under 32 MiB.  With one atom x, log|Y| is within half
+    an ulp of (count) log|x|.
     """
     n = 1 if size is None else size
     return _signed_exp(*sample_Y_signed_log(law, rng, n), size)
-
-
-def sample_Y_phi(law: YLaw, rng: np.random.Generator, size: int | None = None):
-    """Y_phi via the mixed-Poisson construction.
-
-    Draw lambda ~ Gamma(phi), M ~ Poisson(lambda c), multiply M i.i.d.
-    spins.  At phi = 1 M is geometric and this is the law of `sample_Y`.
-    """
-    n = 1 if size is None else size
-    lam = rng.gamma(law.phi, size=n)
-    counts = rng.poisson(lam * law.c)
-    return _signed_exp(*law.spin.log_products(counts.astype(np.int64), rng), size)
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +136,7 @@ def laplace_neg_log_abs(law: YLaw, theta: float) -> float:
 
         (1 + c int (1 - |xi|^theta) nu)^(-phi).
     """
-    if theta < 0:
-        raise DomainError(f"theta must be >= 0, got {theta}")
-    _require_no_zero_atoms(law)
-    return _resolvent(law, 1.0 - sum(law.spin.abs_moment_split(theta)))
+    return _resolvent(law, 1.0 - sum(_abs_moment_split(law, theta)))
 
 
 def joint_sign_laplace(law: YLaw, theta: float, sign: int) -> float:
@@ -167,10 +151,7 @@ def joint_sign_laplace(law: YLaw, theta: float, sign: int) -> float:
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
-    if theta < 0:
-        raise DomainError(f"theta must be >= 0, got {theta}")
-    _require_no_zero_atoms(law)
-    nu_neg, nu_pos = law.spin.abs_moment_split(theta)
+    nu_neg, nu_pos = _abs_moment_split(law, theta)
     d_abs = 1.0 - nu_neg - nu_pos
     h_abs = _resolvent(law, d_abs)
     if sign == 1:
@@ -189,13 +170,16 @@ def sign_probability(law: YLaw, sign: int) -> float:
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
-    _require_no_zero_atoms(law)
-    return 0.5 * (1.0 + sign * _resolvent(law, 2.0 * law.spin.abs_moment_split(0.0)[0]))
+    return 0.5 * (1.0 + sign * _resolvent(law, 2.0 * _abs_moment_split(law, 0.0)[0]))
 
 
-def _require_no_zero_atoms(law: YLaw):
+def _abs_moment_split(law: YLaw, theta: float) -> tuple[float, float]:
+    """The spin law's |xi|^theta split, for theta >= 0 and no spin atom at 0."""
+    if not theta >= 0:
+        raise DomainError(f"theta must be >= 0, got {theta}")
     if law.spin.has_atom_at_zero():
         raise DomainError("spin measure has an atom at zero")
+    return law.spin.abs_moment_split(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +189,13 @@ def _require_no_zero_atoms(law: YLaw):
 @dataclass(frozen=True)
 class EvolvedMeasure:
     """psi_t, the product of t i.i.d. spins: the mixture parameter after t unkilled steps."""
-    spin: SpinMeasure
+    spin: increments.IncrementModel
     steps: int
+
+    def __post_init__(self):
+        _require_spin_law(self.spin)
+        if self.steps < 0:
+            raise DomainError(f"step count must be >= 0, got {self.steps}")
 
     def moment(self, k: int) -> float:
         """E[psi_t^k] = (int xi^k nu)^t."""
@@ -217,12 +206,6 @@ class EvolvedMeasure:
         n = 1 if size is None else size
         counts = np.full(n, self.steps, dtype=np.int64)
         return _signed_exp(*self.spin.log_products(counts, rng), size)
-
-
-def evolve_measure(spin: SpinMeasure, t: int) -> EvolvedMeasure:
-    if t < 0:
-        raise DomainError(f"step count must be >= 0, got {t}")
-    return EvolvedMeasure(spin, t)
 
 
 def killed_measure_moments(law: YLaw, ones: int, total: int) -> float:
@@ -236,6 +219,8 @@ def killed_measure_moments(law: YLaw, ones: int, total: int) -> float:
         raise DomainError("killed de Finetti moments are a phi = 1 statement")
     if not 0 <= ones <= total:
         raise DomainError(f"need 0 <= ones <= total, got {ones}, {total}")
+    if comb(total, total // 2) > sys.float_info.max:
+        raise NumericError(f"the binomial coefficients at N = {total} are past the float range")
     # (1-Y)^n (1+Y)^(N-n) expanded in powers of Y, exact coefficients
     coeffs = np.zeros(total + 1)
     for i in range(ones + 1):
@@ -262,8 +247,7 @@ def beta_example_density(a: float, alpha: float, zeta: float) -> float:
     the geometric-exponential mixture collapses to the single power above.
     Integrates to alpha, so atom + density carry total mass 1.
     """
-    if a <= 0:
-        raise DomainError(f"shape must be positive, got {a}")
+    increments._positive(a=a)
     increments._killing_c(alpha)
     z = abs(zeta)
     if z >= 1.0 or z == 0.0:

@@ -103,6 +103,8 @@ def binomial_pmf(N: int) -> np.ndarray:
     int / int true division rounds once, so no entry carries more than half
     an ulp (entries below the float range come out 0.0).
     """
+    if N < 0:
+        raise DomainError(f"dimension must be >= 0, got {N}")
     out = np.empty(N + 1)
     denom, c = 1 << N, 1
     for k in range(N + 1):

@@ -89,9 +89,12 @@ def test_sample_Y_zero_spin_atom(rng):
 
 
 def test_sample_Y_phi_matches_geometric_at_phi_one(rng):
+    # the Gamma(1)-mixed Poisson count is geometric: the same law as T by inversion
     law = pp.YLaw.from_model(DISCRETE, 0.4)
     a = pp.sample_Y(law, rng, size=400_000)
-    b = pp.sample_Y_phi(law, rng, size=400_000)
+    counts = rng.poisson(rng.gamma(1.0, size=400_000) * law.c).astype(np.int64)
+    signs, logs = law.spin.log_products(counts, rng)
+    b = signs * np.exp(logs)
     for k in range(1, 5):
         ea, sa = mean_and_se(a ** k)
         eb, sb = mean_and_se(b ** k)
@@ -100,13 +103,29 @@ def test_sample_Y_phi_matches_geometric_at_phi_one(rng):
 
 def test_sample_Y_phi_half_moments(rng):
     law = pp.YLaw.from_model(SYMMETRIC, 0.5, phi=0.5)
-    draws = pp.sample_Y_phi(law, rng, size=1_000_000)
+    draws = pp.sample_Y(law, rng, size=1_000_000)
     for k in (2, 4):
         est, se = mean_and_se(draws ** k)
         assert_within_3se(est, pp.moment_Y(law, k), se, f"E[Y_half^{k}]")
     # odd order: the closed form gives (1+c)^-phi, not 1
     est, se = mean_and_se(draws)
     assert_within_3se(est, (1.0 + 1.0) ** -0.5, se, "odd-order moment")
+
+
+@pytest.mark.parametrize("model", [DISCRETE, inc.DeFinettiBeta(1.5, 2.5)])
+@pytest.mark.parametrize("phi", [1.0, 0.5])
+def test_sample_Y_is_the_hand_drawn_route(model, phi):
+    # phi = 1: T by inversion; otherwise a Gamma(phi), then a Poisson count;
+    # then the spin law's products, all on one generator
+    law = pp.YLaw(model, 0.7, phi)
+    draws = pp.sample_Y(law, np.random.default_rng(12), size=2000)
+    ref_rng = np.random.default_rng(12)
+    if phi == 1.0:
+        counts = np.floor(np.log(1.0 - ref_rng.random(2000)) / log(law.alpha))
+    else:
+        counts = ref_rng.poisson(ref_rng.gamma(phi, size=2000) * law.c)
+    signs, logs = model.log_products(counts.astype(np.int64), ref_rng)
+    assert np.array_equal(draws, signs * np.exp(logs))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +249,7 @@ def test_sign_probability_rejects_zero_atom():
 def test_transforms_honour_phi(rng, model, phi, alpha):
     # each closed form is (1 + c(1 - m))^(-phi) of one spin integral m
     law = pp.YLaw.from_model(model, alpha, phi=phi)
-    y = pp.sample_Y_phi(law, rng, size=400_000)
+    y = pp.sample_Y(law, rng, size=400_000)
     theta = 1.3
     mag = np.abs(y) ** theta
     checks = [(mag, pp.laplace_neg_log_abs(law, theta), "E[|Y|^theta]")]
@@ -379,19 +398,17 @@ def test_continuous_peak_is_bounded_by_the_chunk():
 
 
 def test_evolve_measure_steps():
-    spin = pp.spin_measure_of(DISCRETE)
     start = inc.IIDBernoulli(0.0)  # the unit point mass at xi = 1
-    t0 = pp.evolve_measure(spin, 0)
+    t0 = pp.EvolvedMeasure(DISCRETE, 0)
     for k in range(5):
         assert t0.moment(k) == inc.rho_k(start, k)
-    t1 = pp.evolve_measure(inc.IIDBernoulli((1.0 - 0.6) / 2.0), 1)
+    t1 = pp.EvolvedMeasure(inc.IIDBernoulli((1.0 - 0.6) / 2.0), 1)
     for k in range(5):
         assert t1.moment(k) == pytest.approx(0.6 ** k, abs=1e-14)
 
 
 def test_evolve_measure_mc(rng):
-    spin = pp.spin_measure_of(DISCRETE)
-    ev = pp.evolve_measure(spin, 3)
+    ev = pp.EvolvedMeasure(DISCRETE, 3)
     draws = ev.sample(rng, size=400_000)
     for k in range(1, 5):
         est, se = mean_and_se(draws ** k)
@@ -400,7 +417,7 @@ def test_evolve_measure_mc(rng):
 
 def test_evolve_measure_mc_continuous_spins(rng):
     # the chunked-spin route: three Beta spins per row, negative ones included
-    ev = pp.evolve_measure(inc.DeFinettiBeta(1.5, 2.5), 3)
+    ev = pp.EvolvedMeasure(inc.DeFinettiBeta(1.5, 2.5), 3)
     draws = ev.sample(rng, size=200_000)
     for k in range(1, 5):
         est, se = mean_and_se(draws ** k)
@@ -409,7 +426,7 @@ def test_evolve_measure_mc_continuous_spins(rng):
 
 def test_evolve_measure_long_products_are_fast():
     # the atom counts of 10^5 steps are one multinomial draw per row
-    ev = pp.evolve_measure(DISCRETE, 10 ** 5)
+    ev = pp.EvolvedMeasure(DISCRETE, 10 ** 5)
     start = time.perf_counter()
     draws = ev.sample(np.random.default_rng(2), size=16)
     assert time.perf_counter() - start < 1.0
