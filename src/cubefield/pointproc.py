@@ -213,7 +213,9 @@ def killed_measure_moments(law: YLaw, ones: int, total: int) -> float:
 
     Equals (1-alpha) G(x, y) whenever ||x XOR y|| = n in dimension N.  The
     product is rewritten as 2^-N sum_m coeff_m E[Y^m] with integer
-    coefficients.
+    coefficients, |coeff_m| <= binom(N, m).  The sum alternates and cancels:
+    when its a-priori rounding bound (N+2) 2^-53 2^-N sum_m binom(N,m) |E[Y^m]|
+    exceeds 1e-6 |value|, NumericError.
     """
     if law.phi != 1.0:
         raise DomainError("killed de Finetti moments are a phi = 1 statement")
@@ -227,7 +229,13 @@ def killed_measure_moments(law: YLaw, ones: int, total: int) -> float:
         for j in range(total - ones + 1):
             coeffs[i + j] += (-1) ** i * comb(ones, i) * comb(total - ones, j)
     moments = np.array([moment_Y(law, m) for m in range(total + 1)])
-    return float(np.dot(coeffs, moments)) * 0.5 ** total
+    value = float(np.dot(coeffs, moments)) * 0.5 ** total
+    binoms = np.array([comb(total, m) for m in range(total + 1)], dtype=float)
+    bound = (total + 2) * 2.0 ** -53 * 0.5 ** total * float(np.dot(binoms, np.abs(moments)))
+    if bound > 1e-6 * abs(value):
+        raise NumericError(f"the killed moment sum at N = {total}, n = {ones} cancels past "
+                           f"float precision: rounding bound {bound:.1e}, value {value:.1e}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -161,12 +161,24 @@ def green_matrix_spectral(spec: GreenSpec) -> np.ndarray:
 
 
 def green_matrix_oracle(spec: GreenSpec) -> np.ndarray:
-    """(1-alpha)(I - alpha P)^-1 by dense solve; independent of the spectral route."""
+    """(1-alpha)(I - alpha P)^-1 by dense solve; independent of the spectral route.
+
+    P(x, y) = pmf(x XOR y) lies in the group algebra of (Z_2)^N, so its
+    resolvent does too: one dense LU solve for column 0 gives g(d), and the
+    matrix is g(x XOR y).  No eigenvalue, weight table or transform is used.
+    """
     if spec.N > ORACLE_N_LIMIT:
         raise ResourceLimitError(f"the dense oracle is capped at N={ORACLE_N_LIMIT}, got {spec.N}")
-    P = transition_matrix(spec.model, spec.N)
     n = 1 << spec.N
-    return (1.0 - spec.alpha) * np.linalg.solve(np.eye(n) - spec.alpha * P, np.eye(n))
+    idx = np.arange(n)
+    xor = np.bitwise_xor.outer(idx, idx)
+    A = increment_pmf(spec.model, spec.N)[xor]
+    A *= -spec.alpha
+    A.flat[::n + 1] += 1.0
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    g = (1.0 - spec.alpha) * np.linalg.solve(A, e0)
+    return g[xor]
 
 
 def green_hamming(spec: GreenSpec, u: int, v: int) -> float:

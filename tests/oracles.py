@@ -1,7 +1,8 @@
 """Independent verification routes that only the tests call.
 
-Each one computes a quantity of the package a second way: the spectral
-Green function against the killed moments, the Beta(a, 1) worked example
+Each one computes a quantity of the package a second way: the dense Green
+matrix against every column, the spectral Green function against the
+killed moments, the Beta(a, 1) worked example
 step by step, the field order by order, the time-side Parseval identity,
 and the Walsh characters as an explicit sign vector.
 """
@@ -17,7 +18,14 @@ from cubefield.errors import DomainError
 from cubefield.field import SpectralNoise, spin_sum_all_vertices
 from cubefield.limits import VanishingKillingY, kappa_cov
 from cubefield.pointproc import YLaw, killed_measure_moments
-from cubefield.walk import GreenSpec, green_spectral
+from cubefield.walk import GreenSpec, green_spectral, transition_matrix
+
+
+def green_matrix_full_solve(spec: GreenSpec) -> np.ndarray:
+    """(1-alpha)(I - alpha P)^-1 solved against the identity, one column per vertex."""
+    n = 1 << spec.N
+    P = transition_matrix(spec.model, spec.N)
+    return (1.0 - spec.alpha) * np.linalg.solve(np.eye(n) - spec.alpha * P, np.eye(n))
 
 
 def killed_green_check(law: YLaw, model, N: int) -> float:

@@ -6,6 +6,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cubefield
@@ -96,6 +97,9 @@ def test_sample_field_verify_report(tmp_path):
     assert report["fraction_within_3se"] >= 0.99
     entry = report["entries"][0]
     assert set(entry) == {"x", "y", "analytic", "estimate", "se", "z"}
+    analytic = walk.green_matrix_spectral(walk.GreenSpec(3, cubefield.SingleFlip(), 0.5))
+    assert [(e["x"], e["y"], e["analytic"]) for e in report["entries"]] == \
+        [(x, y, float(analytic[x, y])) for x in range(8) for y in range(8)]
 
 
 def test_sample_field_values_csv(tmp_path):
@@ -162,7 +166,12 @@ def test_green_files_match_generic_writers(tmp_path, model_args, N):
     report = json.loads((tmp_path / "green.json").read_text())
     assert report == {"header": ["x", "y", "value"], "rows": [list(r) for r in rows],
                       "schema_version": 1}
-    assert json.loads((tmp_path / "summary.json").read_text())["rows"] == 4 ** N
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["rows"] == 4 ** N
+    # the summary reads row 0 of both sides; the full matrices give the same maximum
+    spec = walk.GreenSpec(N, model, alpha)
+    full = np.abs(walk.green_matrix_spectral(spec) - walk.green_matrix_oracle(spec)).max()
+    assert summary["oracle_max_discrepancy"] == float(full)
 
 
 def test_sample_field_replicates_without_verify_is_usage_error(tmp_path, capsys):

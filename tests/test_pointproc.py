@@ -13,6 +13,7 @@ from oracles import beta_fixed_steps_density, beta_killed_product_sample, killed
 from cubefield import increments as inc
 from cubefield import pointproc as pp
 from cubefield.errors import DomainError
+from cubefield.walk import GreenSpec, green_spectral
 
 DISCRETE = inc.DeFinettiDiscrete((0.2, 0.9), (0.5, 0.5))
 SYMMETRIC = inc.SymmetricBetaSpin(2.0, 1.0)
@@ -445,6 +446,17 @@ def test_killed_measure_trivial():
 def test_killed_measure_ties_to_green():
     law = pp.YLaw.from_model(DISCRETE, 0.5)
     assert killed_green_check(law, DISCRETE, 3) < 1e-10
+
+
+def test_killed_measure_small_N_keeps_its_values():
+    # below the rounding-bound cut the sum is returned as before, and it is the Green function
+    model = inc.DeFinettiDiscrete((0.2, 0.7), (0.6, 0.4))
+    law = pp.YLaw.from_model(model, 0.5)
+    for N in range(1, 11):
+        spec = GreenSpec(N, model, 0.5)
+        for n in range(N + 1):
+            want = green_spectral(spec, 0, (1 << n) - 1)
+            assert pp.killed_measure_moments(law, n, N) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_killed_measure_mc_route(rng):

@@ -11,6 +11,7 @@ from cubefield import limits, pointproc as pp, polynomials
 from cubefield.errors import DomainError, NumericError, ResourceLimitError
 
 IID = inc.IIDBernoulli(0.3)
+MIXTURE = inc.DeFinettiDiscrete((0.2, 0.7), (0.6, 0.4))
 VK = limits.VanishingKillingY(2.0)
 NON_SPIN_LAWS = [inc.SingleFlip(), inc.MFlip(2), inc.RandomSiteHalf(),
                  inc.MarkovEntries((0.5, 0.5), ((0.9, 0.1), (0.2, 0.8)))]
@@ -42,6 +43,11 @@ CASES = [
      ResourceLimitError),
     ("killed_measure_moments N = 1100",
      lambda: pp.killed_measure_moments(pp.YLaw(IID, 0.5), 3, 1100), NumericError),
+    # the alternating moment sum cancels past float precision (was 0.22 off, and -2.1e-18)
+    ("killed_measure_moments N = 60",
+     lambda: pp.killed_measure_moments(pp.YLaw(MIXTURE, 0.5), 20, 60), NumericError),
+    ("killed_measure_moments N = 80",
+     lambda: pp.killed_measure_moments(pp.YLaw(MIXTURE, 0.5), 26, 80), NumericError),
     ("DeFinettiBeta.rho(2^40)", lambda: inc.DeFinettiBeta(2.0, 3.0).rho(1 << 40),
      ResourceLimitError),
     ("SymmetricBetaSpin.rho(2^40)", lambda: inc.SymmetricBetaSpin(2.0, 3.0).rho(1 << 40),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_within_3se
+from oracles import green_matrix_full_solve
 from cubefield import field as fld
 from cubefield import increments as inc
 from cubefield import walk
@@ -75,6 +76,40 @@ def test_green_matches_resolvent_oracle(model, alpha):
     spec = walk.GreenSpec(3, model, alpha)
     gap = np.abs(walk.green_matrix_spectral(spec) - walk.green_matrix_oracle(spec)).max()
     assert gap < 1e-10
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())
+@pytest.mark.parametrize("alpha", [0.3, 0.9, 1 - 1e-6])
+def test_oracle_column_solve_matches_full_solve(model, alpha):
+    # the 2-norm condition number of the symmetric I - alpha P is at most
+    # (1 + alpha)/(1 - alpha); two backward-stable solves of it part by up to
+    # about eps * kappa of the scale, which passes 1e-13 only for alpha > 0.93
+    kappa = (1.0 + alpha) / (1.0 - alpha)
+    tol = max(1e-13, 16 * np.finfo(float).eps * kappa)
+    for N in (1, 3, 6, 8):
+        if isinstance(model, inc.MFlip) and model.m > N:
+            continue
+        spec = walk.GreenSpec(N, model, alpha)
+        G = walk.green_matrix_oracle(spec)
+        ref = green_matrix_full_solve(spec)
+        assert np.abs(G - ref).max() <= tol * np.abs(ref).max(), N
+        assert np.array_equal(G, G.T), N
+        assert np.abs(G.sum(axis=1) - 1.0).max() <= tol, N
+
+
+def test_oracle_uses_no_spectral_route(monkeypatch):
+    spec = walk.GreenSpec(5, MODELS["markov"], 0.6)
+    exchangeable = walk.GreenSpec(5, MODELS["definetti"], 0.6)
+    before = [walk.green_matrix_oracle(s) for s in (spec, exchangeable)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense oracle reached the spectral route")
+
+    monkeypatch.setattr(inc, "rho_all_subsets", refuse)
+    monkeypatch.setattr(walk, "rho_by_size", refuse)
+    monkeypatch.setattr(walk, "_fwht_inplace", refuse)
+    for s, want in zip((spec, exchangeable), before):
+        assert np.array_equal(walk.green_matrix_oracle(s), want)
 
 
 def test_green_bernoulli_half_closed_form():
