@@ -8,19 +8,21 @@ numeric/domain error.
 """
 
 import argparse
-import csv
 import json
 import sys
-from math import floor
+from math import floor, isfinite
 
 import numpy as np
 
-from . import field, increments, limits, pointproc, walk
+from . import field, increments, limits, pointproc, textout, walk
 from .errors import DomainError, NumericError, ResourceLimitError
 
 SCHEMA_VERSION = 1
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
+# past this many points a grid is refused before it is built: build_kappa_spec
+# forms (points, TRUNCATION_CAP + 1) float64 tables, 41 MB each at the cap
+GRID_POINT_LIMIT = 10_000
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
@@ -28,29 +30,29 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+def _write_csv(path, table: textout.Table):
+    with open(path, "wb") as fh:
+        textout.write_csv(fh, table)
 
 
-def _bit_strings(width: int) -> list[str]:
-    """The width-digit binary string of every integer in [0, 2^width), in order."""
-    table = [""]
-    for _ in range(width):
-        table = ["0" + b for b in table] + ["1" + b for b in table]
-    return table
-
-
-def _write_json(path, payload):
+def _write_json(path, payload, table: textout.Table | None = None):
+    """json.dumps(payload, sort_keys=True) and a newline, in one write.  With
+    a table, payload also gets its "header" and its "rows", the rows written
+    by the table writer into the same bytes json.dumps would give."""
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
-    # compact, so json.dumps runs its C encoder (indent forces the Python one)
+    if table is None:
+        # compact, so json.dumps runs its C encoder (indent forces the Python one)
+        with open(path, "w") as fh:
+            fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        return
+    payload.update(header=list(table.header), rows=[])
     text = json.dumps(payload, sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    cut = text.index('"rows": []') + len('"rows": ')
+    with open(path, "wb") as fh:
+        fh.write(text[:cut].encode())
+        textout.write_json_rows(fh, table)
+        fh.write(text[cut + 2:].encode() + b"\n")
 
 
 def _model_from_args(args) -> increments.IncrementModel:
@@ -74,15 +76,22 @@ def _model_from_args(args) -> increments.IncrementModel:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """'lo:hi:step': lo, lo + step, ... up to hi, never past it (1e-9 step of slack)."""
+    """'lo:hi:step': lo, lo + step, ... up to hi, never past it (1e-9 step of slack).
+
+    At most GRID_POINT_LIMIT points, checked before the grid is built."""
     try:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise DomainError(f"grid must be lo:hi:step, got {text!r}") from None
+    if not (isfinite(lo) and isfinite(hi) and isfinite(step)):
+        raise DomainError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise DomainError(f"bad grid bounds {text!r}")
-    n = floor((hi - lo) / step + 1e-9)
-    return np.array([lo + i * step for i in range(n + 1)])
+    span = (hi - lo) / step + 1e-9  # inf when hi - lo overflows or step is tiny
+    if not span < GRID_POINT_LIMIT:
+        raise ResourceLimitError(
+            f"grid {text!r} has more than {GRID_POINT_LIMIT} points")
+    return lo + np.arange(floor(span) + 1) * step
 
 
 # ---------------------------------------------------------------------------
@@ -94,22 +103,19 @@ def cmd_green(args) -> int:
     spec = walk.GreenSpec(args.N, model, args.alpha)
     table = walk.green_xor_table(spec)
     n = 1 << args.N
-    values = table.tolist()
+    # the 4^N rows take 2^N values: each is formatted once, then gathered
+    text = textout.float_text(table, json=args.format == "json")
+
+    def chunk(lo, hi):
+        i = np.arange(lo, hi)
+        x, y = i >> args.N, i & (n - 1)
+        return x, y, textout.Text(np.take(text, x ^ y, axis=1))
+
+    rows = textout.Table(("x", "y", "value"), n * n, chunk)
     if args.format == "json":
-        _write_json(args.out, {"header": ["x", "y", "value"],
-                               "rows": [[x, y, values[x ^ y]]
-                                        for x in range(n) for y in range(n)]})
+        _write_json(args.out, {}, rows)
     else:
-        # the same bytes as csv.writer: no field here needs quoting.  One
-        # write per x: its rows are the "y," column beside reps[y ^ x]
-        reps = np.array([repr(v) for v in values], dtype=object)
-        y_col = [f"{y}," for y in range(n)]
-        idx = np.arange(n)
-        with open(args.out, "w", newline="") as fh:
-            fh.write("x,y,value\r\n")
-            for x in range(n):
-                fh.write(f"{x}," + f"\r\n{x},".join(map(str.__add__, y_col, reps[idx ^ x]))
-                         + "\r\n")
+        _write_csv(args.out, rows)
     summary = {
         "command": "green",
         "model_spec": increments.model_to_dict(model),
@@ -129,6 +135,10 @@ def cmd_green(args) -> int:
 def cmd_sample_field(args) -> int:
     if args.replicates > 1 and not args.verify:
         print("error: --replicates needs --verify; a plain draw writes one field",
+              file=sys.stderr)
+        return USAGE_EXIT
+    if args.verify and args.format == "csv":
+        print("error: --verify writes a JSON report; --format csv is for a plain draw",
               file=sys.stderr)
         return USAGE_EXIT
     model = _model_from_args(args)
@@ -170,23 +180,13 @@ def cmd_sample_field(args) -> int:
         })
         return 0
     noise = field.SpectralNoise.draw(args.N, replicate_rng(args.seed, 0))
-    sample = field.sample_field_spectral(spec, noise)
-    values = sample.values.tolist()
-    half = args.N // 2  # x_bits of x is hi[x >> half] + lo[x & (2^half - 1)]
-    hi, lo = _bit_strings(args.N - half), _bit_strings(half)
+    values = field.sample_field_spectral(spec, noise).values
+    rows = textout.Table(("x_bits", "value"), n, lambda lo, hi: (
+        textout.BitStrings(np.arange(lo, hi), args.N), values[lo:hi]))
     if args.format == "json":
-        bits = (h + low for h in hi for low in lo)
-        _write_json(args.out, {"header": ["x_bits", "value"],
-                               "rows": [[b, v] for b, v in zip(bits, values)]})
+        _write_json(args.out, {}, rows)
     else:
-        # the same bytes as csv.writer: no field here needs quoting.  One
-        # write per value i of the high half: the 2^half rows of x >> half == i
-        lo_cols = [low + "," for low in lo]
-        with open(args.out, "w", newline="") as fh:
-            fh.write("x_bits,value\r\n")
-            for i, h in enumerate(hi):
-                reps = map(repr, values[i << half:(i + 1) << half])
-                fh.write(h + f"\r\n{h}".join(map(str.__add__, lo_cols, reps)) + "\r\n")
+        _write_csv(args.out, rows)
     return 0
 
 
@@ -194,12 +194,12 @@ def cmd_sample_kappa(args) -> int:
     ylaw = limits.VanishingKillingY(args.gamma)
     grid = _parse_grid(args.grid)
     spec = limits.build_kappa_spec(ylaw, grid)
-    rows = []
-    for rep in range(args.replicates):
-        zetas = replicate_rng(args.seed, rep).standard_normal(spec.order + 1)
-        values = limits.kappa_sample(spec, zetas)
-        rows.extend((rep, float(t), float(v)) for t, v in zip(grid, values))
-    _write_csv(args.out, ["replicate", "t", "value"], rows)
+    zetas = [replicate_rng(args.seed, rep).standard_normal(spec.order + 1)
+             for rep in range(args.replicates)]
+    paths = [limits.kappa_sample(spec, z) for z in zetas]
+    _write_csv(args.out, textout.columns(
+        ("replicate", "t", "value"), np.repeat(np.arange(args.replicates), grid.size),
+        np.tile(grid, args.replicates), np.concatenate(paths)))
     return 0
 
 
@@ -208,24 +208,26 @@ def cmd_ylaw(args) -> int:
     law = pointproc.YLaw.from_model(model, args.alpha)
     rng = replicate_rng(args.seed, 0)
     draws = pointproc.sample_Y(law, rng, size=args.mc_draws)
-    moment_rows = []
+    moments = []
     for k in range(args.kmax + 1):
         closed = pointproc.moment_Y(law, k)
         powers = draws ** k
         est = float(np.mean(powers))
         se = float(np.std(powers, ddof=1) / np.sqrt(len(powers)))
-        moment_rows.append((k, closed, est, se))
+        moments.append((closed, est, se))
     # evaluate every output before writing any: a rejected law leaves no partial set
-    outputs = [(_write_csv, args.out, ["k", "closed_form", "mc_estimate", "se"], moment_rows)]
+    outputs = [(_write_csv, args.out, textout.columns(
+        ("k", "closed_form", "mc_estimate", "se"), np.arange(args.kmax + 1),
+        *np.array(moments, dtype=float).T))]
     if args.laplace_out:
         thetas = _parse_grid(args.theta_grid)
-        rows = [(float(th), pointproc.laplace_neg_log_abs(law, float(th))) for th in thetas]
-        outputs.append((_write_csv, args.laplace_out, ["theta", "value"], rows))
+        laplace = [pointproc.laplace_neg_log_abs(law, float(th)) for th in thetas]
+        outputs.append((_write_csv, args.laplace_out, textout.columns(
+            ("theta", "value"), thetas, np.array(laplace, dtype=float))))
     if args.histogram_out:
         counts, edges = np.histogram(draws, bins=40, range=(-1.0, 1.0))
-        rows = [(float(lo), float(hi), int(c))
-                for lo, hi, c in zip(edges[:-1], edges[1:], counts)]
-        outputs.append((_write_csv, args.histogram_out, ["bin_low", "bin_high", "count"], rows))
+        outputs.append((_write_csv, args.histogram_out, textout.columns(
+            ("bin_low", "bin_high", "count"), edges[:-1], edges[1:], counts)))
     if args.summary:
         outputs.append((_write_json, args.summary, {
             "command": "ylaw",
@@ -258,12 +260,11 @@ def cmd_limits(args) -> int:
     residuals = limits.inversion_check(spec, zetas, args.inversion_t)
     inversion = {repr(float(t)): float(r) for t, r in zip(args.inversion_t, residuals)}
     lhs, rhs = limits.parseval_check(ylaw)
-    tcov_rows = []
-    for th in grid:
-        cov = limits.transform_cov(ylaw, float(th), float(th))
-        tcov_rows.append((float(th), cov.full, cov.even_part, cov.odd_part))
+    tcov = np.array([limits.transform_cov(ylaw, float(th), float(th)) for th in grid],
+                    dtype=float).reshape(grid.size, 3)
     if args.transform_out:
-        _write_csv(args.transform_out, ["theta", "full", "U_part", "V_part"], tcov_rows)
+        _write_csv(args.transform_out, textout.columns(
+            ("theta", "full", "U_part", "V_part"), grid, *tcov.T))
     report.update({
         "truncation_order": spec.order,
         "tail_bound": spec.tail_bound,
@@ -337,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     sfield.add_argument("--verify", action="store_true",
                         help="emit an empirical-vs-analytic covariance report")
     sfield.add_argument("--out", required=True)
-    sfield.add_argument("--format", choices=("csv", "json"), default="csv")
+    sfield.add_argument("--format", choices=("csv", "json"),
+                        help="csv (the default) or json for a draw; --verify writes JSON")
     sfield.set_defaults(func=cmd_sample_field)
 
     skappa = sample_sub.add_parser("kappa", help="limit-process draws on a t grid")

@@ -122,13 +122,17 @@ def write_rows_with_csv_writer(path, header, rows):
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-# N = 1, 2, 5 and 9 add tiny cubes and both odd and even splits of x_bits
+# N = 1, 2, 5 and 9 add tiny cubes and both odd and even splits of x_bits;
+# 14, 15 and 18 fill several chunks of the table writer, the last one in part
 @pytest.mark.parametrize("model_args, N", [(["--model", "single-flip"], 3),
                                            (["--model", "iid-bernoulli", "--p", "0.3"], 10),
                                            (["--model", "single-flip"], 1),
                                            (["--model", "iid-bernoulli", "--p", "0.3"], 2),
                                            (["--model", "single-flip"], 5),
-                                           (["--model", "iid-bernoulli", "--p", "0.3"], 9)])
+                                           (["--model", "iid-bernoulli", "--p", "0.3"], 9),
+                                           (["--model", "single-flip"], 14),
+                                           (["--model", "iid-bernoulli", "--p", "0.3"], 15),
+                                           (["--model", "iid-bernoulli", "--p", "0.3"], 18)])
 def test_sample_field_files_match_generic_writers(tmp_path, model_args, N):
     seed, alpha = 7, 0.6
     args = ["sample", "field", *model_args, "--N", str(N), "--alpha", str(alpha),
@@ -180,6 +184,29 @@ def test_sample_field_replicates_without_verify_is_usage_error(tmp_path, capsys)
                 "--alpha", "0.5", "--replicates", "2", "--out", str(out)])
     assert code == 2
     assert "--verify" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_field_verify_with_csv_format_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    code = run(["sample", "field", "--model", "single-flip", "--N", "3", "--alpha", "0.5",
+                "--replicates", "10", "--verify", "--format", "csv", "--out", str(out)])
+    assert code == 2
+    assert "--verify" in capsys.readouterr().err
+    assert not out.exists()
+    # --format json is what --verify writes
+    assert run(["sample", "field", "--model", "single-flip", "--N", "3", "--alpha", "0.5",
+                "--replicates", "10", "--verify", "--format", "json",
+                "--out", str(tmp_path / "report.json")]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["replicates"] == 10
+
+
+@pytest.mark.parametrize("grid", ["0:1:nan", "nan:1:0.5", "0:inf:1", "0:1e7:1e-3"])
+def test_bad_grids_exit_3_without_output(tmp_path, capsys, grid):
+    out = tmp_path / "kappa.csv"
+    code = run(["sample", "kappa", "--gamma", "2", "--grid", grid, "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
 

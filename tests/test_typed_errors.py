@@ -6,6 +6,7 @@ from math import inf, nan
 import numpy as np
 import pytest
 
+from cubefield import cli
 from cubefield import increments as inc
 from cubefield import limits, pointproc as pp, polynomials
 from cubefield.errors import DomainError, NumericError, ResourceLimitError
@@ -55,6 +56,15 @@ CASES = [
     ("LimitPoissonDirichlet.gap(2^40)", lambda: inc.LimitPoissonDirichlet(1.0).gap(1 << 40),
      ResourceLimitError),
     ("EvolvedMeasure steps = -1", lambda: pp.EvolvedMeasure(IID, -1), DomainError),
+    # CLI grids: a NaN or infinite part was a raw ValueError or OverflowError,
+    # and 10^10 points were built as a Python list
+    ("grid 0:1:nan", lambda: cli._parse_grid("0:1:nan"), DomainError),
+    ("grid nan:1:0.5", lambda: cli._parse_grid("nan:1:0.5"), DomainError),
+    ("grid 0:inf:1", lambda: cli._parse_grid("0:inf:1"), DomainError),
+    ("grid -inf:0:1", lambda: cli._parse_grid("-inf:0:1"), DomainError),
+    ("grid 0:1e7:1e-3", lambda: cli._parse_grid("0:1e7:1e-3"), ResourceLimitError),
+    ("grid -1e308:1e308:1", lambda: cli._parse_grid("-1e308:1e308:1"), ResourceLimitError),
+    ("grid 0:1:1e-320", lambda: cli._parse_grid("0:1:1e-320"), ResourceLimitError),
 ]
 # a law that is not a de Finetti spin law is refused where the product law is built
 CASES += [(f"YLaw({type(m).__name__})", lambda m=m: pp.YLaw(m, 0.5), DomainError)
@@ -68,6 +78,14 @@ CASES += [(f"EvolvedMeasure({type(m).__name__})", lambda m=m: pp.EvolvedMeasure(
 def test_raises_its_typed_error(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_grid_cap_admits_its_last_point():
+    # GRID_POINT_LIMIT points exactly; one step more is refused
+    last = cli.GRID_POINT_LIMIT - 1
+    assert cli._parse_grid(f"0:{last}:1").size == cli.GRID_POINT_LIMIT
+    with pytest.raises(ResourceLimitError):
+        cli._parse_grid(f"0:{last + 1}:1")
 
 
 def test_moment_table_cap_admits_the_sizes_in_use():
