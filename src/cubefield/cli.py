@@ -209,9 +209,11 @@ def cmd_ylaw(args) -> int:
     rng = replicate_rng(args.seed, 0)
     draws = pointproc.sample_Y(law, rng, size=args.mc_draws)
     moments = []
+    powers = np.ones_like(draws)
     for k in range(args.kmax + 1):
         closed = pointproc.moment_Y(law, k)
-        powers = draws ** k
+        if k:
+            powers *= draws  # Y^k as a running product, with no pow call per draw
         est = float(np.mean(powers))
         se = float(np.std(powers, ddof=1) / np.sqrt(len(powers)))
         moments.append((closed, est, se))

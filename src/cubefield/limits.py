@@ -36,7 +36,7 @@ singularities away (expect, gap_laplace) before the rule sees them.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, exp, pi, sqrt
+from math import ceil, exp, log, pi, sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -56,6 +56,17 @@ _HERMITE_ENVELOPE = 1.1  # sup_k k^(1/4) |H_k(t)| e^(-t^2/4) / sqrt(k!) is below
 _TAIL_HORIZON = 1 << 20  # the tail bound sums knots up to here, then a 1/k-decay extension
 # e^(-lam x) < 4e-18 past x = 40/lam: the gap layer that carries every float digit
 _GAP_LAYER = 40.0
+# below this width in v = sqrt(1 - y), a layer of the integrand at y = 1 falls
+# short of the nearest node of the rule's first round (v = 3.8e-4), so no
+# round sees it; expect splits v at such a layer.  Below the floor the layer
+# holds a share of the integral far under one ulp (and v^2 would underflow)
+_LAYER_REACH = 3.8e-4
+_LAYER_FLOOR = 1e-100
+# nodes of the inversion check's trapezoid rule on [0, theta_max]
+_INVERSION_NODES = 4097
+# grid pairs per batch integral of the CLT check: a round that splits up to
+# 190 panels stays within quadrature.quad's 2^21 integrand values
+_PAIR_BATCH = 256
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +85,9 @@ class FixedCorrelation:
     def moment(self, k: int) -> float:
         return self.value ** k
 
-    def expect(self, fn: Callable) -> float:
-        """E[fn(Y, 1 - Y)]."""
+    def expect(self, fn: Callable, layer: float = 0.0) -> float:
+        """E[fn(Y, 1 - Y)]; a point mass has no layer at y = 1 to resolve,
+        so layer is not read."""
         return float(fn(self.value, 1.0 - self.value))
 
     def gap_laplace(self, lam):
@@ -119,25 +131,41 @@ class VanishingKillingY:
         u = end * w
         return u ** p, end * (0.5 * g * p) * u ** (0.5 * g * p - 1.0)
 
-    def expect(self, fn: Callable) -> float:
+    def expect(self, fn: Callable, layer: float = 0.0):
         """E[fn(Y, 1 - Y)] for an fn that takes arrays.
 
+        fn may return a batch of integrands, shape batch + its argument's
+        shape; they share one subdivision and the result is an array.
         Below y = 1/2 as in _below_half.  Above it, y = 1 - v^2 hands fn the
         gap 1 - y = v^2 exactly, and the Jacobian 2v cancels a (1 - y)^(-1/2)
-        singularity at y = 1.  Both halves are scaled onto [0, 1] and
-        integrated as one sum, to one tolerance.
+        singularity at y = 1.  layer is the width in v of a layer that fn
+        has at y = 1 (the mixture density's e^(-(t-s)^2 / 4v^2)).  Between
+        _LAYER_FLOOR and _LAYER_REACH the rule would miss it, so v is split:
+        v = layer w on [0, layer], and v = layer (end/layer)^w on the rest,
+        where the layer's tail decays on the scale of v itself.  All parts
+        are scaled onto [0, 1] and integrated as one sum, to one tolerance.
         """
         g = self.gamma
         end = sqrt(0.5)
 
-        def integrand(w):
-            y, weight = self._below_half(w)
-            v = end * w
+        def above(v, dv):  # the part y > 1/2 at the nodes v, with dv = dv/dw
             gap = v * v
-            return (weight * fn(y, 1.0 - y)
-                    + end * g * v * (1.0 - gap) ** (0.5 * g - 1.0) * fn(1.0 - gap, gap))
+            return dv * g * v * (1.0 - gap) ** (0.5 * g - 1.0) * fn(1.0 - gap, gap)
 
-        return float(quad(integrand, 0.0, 1.0)[0])
+        if _LAYER_FLOOR < layer < _LAYER_REACH:
+            rate = log(end / layer)
+
+            def integrand(w):
+                y, weight = self._below_half(w)
+                v = layer * np.exp(rate * w)
+                return weight * fn(y, 1.0 - y) + above(layer * w, layer) + above(v, rate * v)
+        else:
+            def integrand(w):
+                y, weight = self._below_half(w)
+                return weight * fn(y, 1.0 - y) + above(end * w, end)
+
+        value = quad(integrand, 0.0, 1.0)[0]
+        return float(value) if value.ndim == 0 else value
 
     def gap_laplace(self, lam):
         """E[e^(-lam (1 - Y))] for lam >= 0, a float or an array of them.
@@ -266,6 +294,12 @@ class KappaSpec:
         envelope = np.exp(-0.5 * t * t) / sqrt(2.0 * pi)
         return envelope[:, None] * self.half_moments * hermite_weighted_all(self.order, t)
 
+    @cached_property
+    def inversion_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """transform_weight_matrices on inversion_check's theta grid, built
+        once per spec: 4097 x (order + 1) floats, 16.8 MB at order 512."""
+        return transform_weight_matrices(self, _inversion_thetas(self.order))
+
 
 def build_kappa_spec(ylaw: CorrelationMixture, grid) -> KappaSpec:
     """Pick the truncation order by the variance-increment rule.
@@ -314,12 +348,17 @@ def _require_finite(points):
         raise DomainError(f"points must be finite, got {points}")
 
 
-def kappa_sample(spec: KappaSpec, zetas: np.ndarray) -> np.ndarray:
-    """kappa_t over the grid from one shared normal vector zeta_0..zeta_K."""
+def _spec_normals(spec: KappaSpec, zetas) -> np.ndarray:
+    """zetas as the float vector zeta_0..zeta_order that spec reads."""
     zetas = np.asarray(zetas, dtype=float)
     if zetas.shape != (spec.order + 1,):
         raise DomainError(f"need {spec.order + 1} normals, got shape {zetas.shape}")
-    return spec.basis @ zetas
+    return zetas
+
+
+def kappa_sample(spec: KappaSpec, zetas: np.ndarray) -> np.ndarray:
+    """kappa_t over the grid from one shared normal vector zeta_0..zeta_K."""
+    return spec.basis @ _spec_normals(spec, zetas)
 
 
 def _normal_density(t: float, s: float, y, gap):
@@ -347,7 +386,7 @@ def kappa_cov(ylaw: CorrelationMixture, t: float, s: float,
     t, s = float(t), float(s)
     _require_finite((t, s))
     if method == "mixture":
-        return ylaw.expect(lambda y, gap: _normal_density(t, s, y, gap))
+        return ylaw.expect(lambda y, gap: _normal_density(t, s, y, gap), layer=abs(t - s))
     if method != "series":
         raise DomainError(f"unknown method {method!r}")
     ht, hs = hermite_weighted_all(order, [t, s])
@@ -392,17 +431,26 @@ def levelset_clt_check(gamma: float, dims, t_grid) -> dict:
     limit at t_u = 2(u - N/2)/sqrt(N) and s_v, the points those levels stand
     for, and not at the nominal t and s: the rounding to a level moves t by
     up to 2/sqrt(N), which would otherwise swamp the 1/N convergence.
+
+    The limits of one N are batch integrals over the pairs i <= j (the
+    mixture is symmetric in (t, s)), _PAIR_BATCH pairs to a batch.
+    Distinct levels read t at least 2/sqrt(N) apart, far wider than the
+    layer kappa_cov resolves near the diagonal, so no pair needs it.
     """
     ylaw = VanishingKillingY(gamma)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     gaps = {}
     for N in dims:
         N = int(N)
-        t_read = (2.0 * (_levels(N, t_grid) - N / 2) / sqrt(N)).tolist()
-        limit = np.empty((len(t_read), len(t_read)))
-        for i, j in zip(*np.triu_indices(len(t_read))):  # the mixture is symmetric in (t, s)
-            limit[i, j] = limit[j, i] = kappa_cov(ylaw, t_read[i], t_read[j], method="mixture")
-        gaps[N] = float(np.abs(scaled_levelset_cov(N, gamma, t_grid, t_grid) - limit).max())
+        cov = scaled_levelset_cov(N, gamma, t_grid, t_grid)
+        t_read = 2.0 * (_levels(N, t_grid) - N / 2) / sqrt(N)
+        rows, cols = np.triu_indices(t_read.size)
+        limit = np.empty_like(cov)
+        for lo in range(0, rows.size, _PAIR_BATCH):
+            i, j = rows[lo:lo + _PAIR_BATCH], cols[lo:lo + _PAIR_BATCH]
+            t, s = t_read[i, None, None], t_read[j, None, None]
+            limit[i, j] = limit[j, i] = ylaw.expect(lambda y, gap: _normal_density(t, s, y, gap))
+        gaps[N] = float(np.abs(cov - limit).max())
     return gaps
 
 
@@ -460,11 +508,15 @@ def transform_weight_matrices(spec: KappaSpec, thetas) -> tuple[np.ndarray, np.n
 
 def transform_sample(spec: KappaSpec, zetas: np.ndarray, theta_grid) -> tuple[np.ndarray, np.ndarray]:
     """(U_theta, V_theta) over a theta grid from one shared zeta vector."""
-    zetas = np.asarray(zetas, dtype=float)
-    if zetas.shape != (spec.order + 1,):
-        raise DomainError(f"need {spec.order + 1} normals, got shape {zetas.shape}")
+    zetas = _spec_normals(spec, zetas)
     U, V = transform_weight_matrices(spec, theta_grid)
     return U @ zetas[0::2], V @ zetas[1::2]
+
+
+def _inversion_thetas(order: int) -> np.ndarray:
+    """inversion_check's nodes: the window must cover the highest retained
+    order (the k-th basis function peaks near theta = sqrt(k))."""
+    return np.linspace(0.0, sqrt(2.0 * order) + 8.0, _INVERSION_NODES)
 
 
 def inversion_check(spec: KappaSpec, zetas: np.ndarray, t) -> float | np.ndarray:
@@ -472,17 +524,18 @@ def inversion_check(spec: KappaSpec, zetas: np.ndarray, t) -> float | np.ndarray
 
     kappa_hat = U + iV comes from the same zetas as kappa_t.  U is even in
     theta and V odd, so the integral is (1/pi) times the trapezoid rule for
-    U cos(theta t) + V sin(theta t) on 4097 points of [0, theta_max].  One
-    transform serves every t: a float t gives a float, a 1-D sequence an
-    array.  The window must cover the highest retained order (the k-th
-    basis function peaks near theta = sqrt(k)), so theta_max is
-    sqrt(2 order) + 8.
+    U cos(theta t) + V sin(theta t) on 4097 points of [0, theta_max], with
+    theta_max = sqrt(2 order) + 8.  The weights on those points are the
+    spec's inversion_weights, so repeated checks on one spec build them
+    once, and one transform serves every t: a float t gives a float, a 1-D
+    sequence an array.
     """
-    theta_max = sqrt(2.0 * spec.order) + 8.0
+    zetas = _spec_normals(spec, zetas)
     ts = np.asarray(t, dtype=float)
     grid = np.atleast_1d(ts)
-    thetas = np.linspace(0.0, theta_max, 4097)
-    U, V = transform_sample(spec, zetas, thetas)
+    thetas = _inversion_thetas(spec.order)
+    W_even, W_odd = spec.inversion_weights
+    U, V = W_even @ zetas[0::2], W_odd @ zetas[1::2]
     phase = np.multiply.outer(grid, thetas)
     integral = np.trapezoid(np.cos(phase) * U + np.sin(phase) * V, thetas) / pi
     basis = KappaSpec(spec.ylaw, tuple(grid.tolist()), spec.order, spec.tail_bound).basis

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cubefield
-from cubefield import cli, field, walk
+from cubefield import cli, field, increments, pointproc, walk
 
 
 def run(argv):
@@ -274,6 +274,27 @@ def test_ylaw_smallest_ranges_run(tmp_path):
     header, rows = read_csv(out)
     assert header == ["k", "closed_form", "mc_estimate", "se"]
     assert rows == [["0", "1.0", "1.0", "0.0"]]
+
+
+def test_ylaw_running_powers_match_pow_of_the_same_draws(tmp_path):
+    # the table builds Y^k as a running product; each entry is then within
+    # about k 2^-53 of draws ** k, and Y > 0 here, so no mean cancels
+    out = tmp_path / "moments.csv"
+    draws_n, seed = 5000, 3
+    code = run(["ylaw", "--model", "definetti-discrete", "--atoms", "0.2,0.9",
+                "--weights", "0.5,0.5", "--alpha", "0.75", "--kmax", "12",
+                "--mc-draws", str(draws_n), "--seed", str(seed), "--out", str(out)])
+    assert code == 0
+    _, rows = read_csv(out)
+    assert rows[0] == ["0", "1.0", "1.0", "0.0"]
+    law = pointproc.YLaw.from_model(increments.DeFinettiDiscrete((0.2, 0.9), (0.5, 0.5)), 0.75)
+    draws = pointproc.sample_Y(law, cli.replicate_rng(seed, 0), size=draws_n)
+    assert [int(row[0]) for row in rows] == list(range(13))
+    for k, _, est, se in rows[1:]:
+        powers = draws ** int(k)
+        assert float(est) == pytest.approx(np.mean(powers), rel=1e-13, abs=0.0)
+        assert float(se) == pytest.approx(np.std(powers, ddof=1) / np.sqrt(draws_n),
+                                          rel=1e-13, abs=0.0)
 
 
 def test_ylaw_zero_spin_atom_is_a_domain_error(tmp_path, capsys):

@@ -3,7 +3,7 @@ from math import comb, exp, pi, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -266,6 +266,8 @@ def _close(got, want, rel):
 
 @settings(max_examples=40, deadline=None)
 @given(_GAMMAS, _POINTS, _POINTS, st.booleans())
+# t - s near 0 but not 0: a layer of width |t - s| at y = 1
+@example(gamma=1.0, t=0.0, s=1.630337901139434e-10, diagonal=False)
 def test_mixture_covariance_matches_quadpack(gamma, t, s, diagonal):
     s = t if diagonal else s
     got = lm.kappa_cov(lm.VanishingKillingY(gamma), t, s, method="mixture")
@@ -340,6 +342,38 @@ def test_mixture_diagonal_matches_mpmath(gamma, t):
     assert abs(got - want) <= 1e-14 * want, (got, float(want))
 
 
+@pytest.mark.parametrize("gamma, t, s", [
+    (1.0, 0.0, 1e-12), (1.0, 0.0, 1.630337901139434e-10), (1.0, 0.0, 1e-8),
+    (1.0, 0.0, 1e-7), (1.0, 0.0, 3.7e-4), (1.0, 0.0, 3.9e-4), (10.0, 0.0, 1e-7),
+    (10.0, 0.5, 0.5 + 1e-9), (0.3, 2.0, 2.0 + 3e-11), (3.0, -2.5, -2.5 - 2 ** -40),
+    (3.0, 0.0, 1e-30)])
+def test_mixture_near_the_diagonal_matches_mpmath(gamma, t, s):
+    # n(t, s; y) has a layer e^(-(t-s)^2 / 4v^2) in v = sqrt(1 - y), which the
+    # rule's first round missed below |t - s| ~ 1e-7 (4.8e-9 relative off at
+    # gamma = 1, t = 0, s = 1e-8); 30 digits, with breakpoints that resolve the
+    # layer, hold it to 1e-14
+    mpmath = pytest.importorskip("mpmath")
+    got = lm.kappa_cov(lm.VanishingKillingY(gamma), t, s, method="mixture")
+    with mpmath.workdps(30):
+        g, mt, ms = mpmath.mpf(gamma), mpmath.mpf(t), mpmath.mpf(s)
+
+        def density(y, gap):
+            det = gap * (1 + y)
+            return (mpmath.exp(-((mt - ms) ** 2 + 2 * mt * ms * gap) / (2 * det))
+                    / (2 * mpmath.pi * mpmath.sqrt(det)))
+
+        lower = mpmath.quad(lambda u: density(u ** (2 / g), 1 - u ** (2 / g)),
+                            [0, mpmath.mpf(2) ** (-g / 2)])
+        end, cut, cuts = mpmath.sqrt(0.5), abs(mt - ms) / 16, [0]
+        while cut < end:
+            cuts.append(cut)
+            cut *= 4
+        upper = mpmath.quad(lambda v: g * v * (1 - v * v) ** (g / 2 - 1)
+                            * density(1 - v * v, v * v), cuts + [end])
+        want = lower + upper
+    assert abs(got - want) <= 1e-14 * want, (got, float(want))
+
+
 def test_quad_value_error_batch_and_infinite_range():
     value, error = gk21(np.exp, 0.0, 1.0)
     assert value == pytest.approx(np.e - 1.0, rel=1e-15) and 0 < error < 1e-13
@@ -391,14 +425,35 @@ def test_clt_gaps_fall_like_one_over_n():
 
 @pytest.mark.parametrize("N", [50, 400])
 def test_clt_check_is_the_worst_per_pair_gap(N):
-    ylaw = lm.VanishingKillingY(2.0)
-
+    # the check takes each N's limits as one batch integral with one shared
+    # subdivision, so a limit can differ from its own scalar integral by an
+    # ulp: bit-identical gaps at gamma = 0.5 and 2, 5.6e-17 apart at 10
     def read(t):  # the t of the level the scaled covariance reads
         return 2 * (int(N / 2 + sqrt(N) / 2 * t) - N / 2) / sqrt(N)
-    worst = max(abs(lm.scaled_levelset_cov(N, 2.0, t, s)
-                    - lm.kappa_cov(ylaw, read(t), read(s), method="mixture"))
-                for t in GRID for s in GRID)
-    assert lm.levelset_clt_check(2.0, (N,), GRID)[N] == pytest.approx(worst, rel=1e-15, abs=0.0)
+    for gamma in (0.5, 2.0, 10.0):
+        ylaw = lm.VanishingKillingY(gamma)
+        limit = {(t, s): lm.kappa_cov(ylaw, read(t), read(s), method="mixture")
+                 for t in GRID for s in GRID}
+        worst = max(abs(lm.scaled_levelset_cov(N, gamma, t, s) - limit[t, s])
+                    for t in GRID for s in GRID)
+        got = lm.levelset_clt_check(gamma, (N,), GRID)[N]
+        assert abs(got - worst) <= 1e-15 * max(limit.values()), (gamma, got, worst)
+
+
+def test_clt_check_takes_a_grid_past_one_batch():
+    # 230 points make 26565 pairs: as one batch integral, a round that split
+    # two panels would pass quadrature.quad's 2^21 integrand values
+    N, gamma = 50, 0.2
+    grid = np.linspace(-3.0, 3.0, 230)
+    ylaw = lm.VanishingKillingY(gamma)
+    read = [2 * (int(N / 2 + sqrt(N) / 2 * t) - N / 2) / sqrt(N) for t in grid]
+    limit = {(t, s): lm.kappa_cov(ylaw, t, s, method="mixture")
+             for t in set(read) for s in set(read)}
+    cov = lm.scaled_levelset_cov(N, gamma, grid, grid)
+    worst = max(abs(cov[i, j] - limit[t, s])
+                for i, t in enumerate(read) for j, s in enumerate(read))
+    got = lm.levelset_clt_check(gamma, (N,), grid)[N]
+    assert abs(got - worst) <= 1e-15 * max(limit.values()), (got, worst)
 
 
 def test_scaled_cov_grid_equals_pointwise_values():
@@ -561,6 +616,27 @@ def test_transform_weights_reject_non_finite_theta(theta):
     spec = lm.KappaSpec(lm.VanishingKillingY(2.0), (0.0,), 8, 0.0)
     with pytest.raises(DomainError):
         lm.transform_weight_matrices(spec, [1.0, theta])
+
+
+def test_inversion_weights_are_built_once_per_spec(rng, monkeypatch):
+    grid = (-1.0, 0.0, 0.5)
+    ts = (0.0, 1.0, -1.0, 0.3)
+    spec = lm.build_kappa_spec(lm.VanishingKillingY(2.0), grid)
+    zetas = rng.standard_normal(spec.order + 1)
+    fresh = [lm.inversion_check(lm.build_kappa_spec(lm.VanishingKillingY(2.0), grid), zetas, t)
+             for t in ts]
+    bare, hash_before = lm.build_kappa_spec(lm.VanishingKillingY(2.0), grid), hash(spec)
+    built = []
+    weights = lm.transform_weight_matrices
+    monkeypatch.setattr(lm, "transform_weight_matrices",
+                        lambda *args: built.append(args) or weights(*args))
+    again = [lm.inversion_check(spec, zetas, t) for t in ts]
+    assert again == fresh  # bit for bit
+    assert len(built) == 1
+    assert lm.inversion_check(spec, zetas, list(ts)).tolist() == fresh and len(built) == 1
+    # the cached matrices are not fields: equality and hash stay those of the fields
+    assert "inversion_weights" in vars(spec) and "inversion_weights" not in vars(bare)
+    assert spec == bare and hash(spec) == hash(bare) == hash_before
 
 
 def test_inversion_check_takes_every_t_at_once(rng):
