@@ -133,6 +133,8 @@ def spin_sum(x: int, subset: int, k: int, noise: SpectralNoise) -> float:
 
     Cov(S_j(x), S_k(y)) = delta_jk binom(|C|,k) Q_k(||x XOR y||; |C|).
     """
+    check_vertex(x, noise.N)
+    _check_subset(subset, noise.N)
     bits = bit_positions(subset)
     if not 1 <= k <= len(bits):
         raise DomainError(f"order must lie in [1, |C|={len(bits)}], got {k}")
@@ -171,8 +173,7 @@ def marginal_average(noise: SpectralNoise, spec: GreenSpec, x: int, subset: int)
 
     Marginals over disjoint C are independent (they read disjoint noise).
     """
-    if subset >> spec.N:
-        raise DomainError(f"coordinate set {subset:#x} is not within [{spec.N}]")
+    _check_subset(subset, spec.N)
     return _marginal(noise, x, subset,
                      lambda A: increments.b_subset(spec.model, A, spec.N, spec.alpha))
 
@@ -209,10 +210,17 @@ def infinite_field_marginal(model, x: int, subset: int, noise: SpectralNoise,
     return _marginal(noise, x, subset, lambda A: increments.b_subset(model, A, None, alpha))
 
 
+def _check_subset(subset: int, N: int):
+    """Raise DomainError unless the coordinate set lies within [N]."""
+    if subset >> N:
+        raise DomainError(f"coordinate set {subset:#x} is not within [{N}]")
+
+
 def _marginal(noise: SpectralNoise, x: int, subset: int, gap) -> float:
     """2^(-|C|/2) sum_{A subseteq C, A != 0} prod_{j in A}(-1)^x[j] (1 + gap(A))^(-1/2) g_A."""
     if subset == 0:
         raise DomainError("the coordinate set must be nonempty")
+    _check_subset(subset, noise.N)
     total = 0.0
     for A in iter_submasks(subset):
         if A == 0:

@@ -27,11 +27,12 @@ types admit has a limit process; the Poisson-Dirichlet regime, whose
 moments decay only like 1/log k, has none and is refused where its law
 would be built (LimitPoissonDirichlet.mixture).
 
-Every expectation over a correlation law (the mixture covariance, the
-transform covariances, both Parseval sides, the CLT limit) is one call of
-the numpy Gauss-Kronrod rule quadrature.quad on an array integrand.  The
-rule has no extrapolation, so VanishingKillingY substitutes its endpoint
-singularities away (expect, gap_laplace) before the rule sees them.
+A moment table is one moment(k) call on an integer array of k; every
+expectation E[fn(Y, 1 - Y)] goes through expect, and every exponential
+moment (both signs of the transform covariance, Parseval's integrand)
+through gap_laplace.  For VanishingKillingY each is one call of the numpy
+Gauss-Kronrod rule quadrature.quad, with the law's endpoint singularities
+substituted away first (the rule has no extrapolation).
 """
 
 from dataclasses import dataclass
@@ -82,7 +83,7 @@ class FixedCorrelation:
         if not -1.0 < self.value < 1.0:
             raise DomainError(f"correlation must lie in (-1, 1), got {self.value}")
 
-    def moment(self, k: int) -> float:
+    def moment(self, k):
         return self.value ** k
 
     def expect(self, fn: Callable, layer: float = 0.0) -> float:
@@ -90,13 +91,10 @@ class FixedCorrelation:
         so layer is not read."""
         return float(fn(self.value, 1.0 - self.value))
 
-    def gap_laplace(self, lam):
-        """E[e^(-lam (1 - Y))] for lam >= 0, a float or an array of them."""
-        return np.exp(-np.asarray(lam, dtype=float) * (1.0 - self.value))
-
-    def scaled_exp_moment(self, x: float, log_scale: float) -> float:
-        """e^log_scale E[e^(xY)] with the exponents combined (no overflow)."""
-        return exp(log_scale + x * self.value)
+    def gap_laplace(self, lam, log_scale=0.0):
+        """e^log_scale E[e^(-lam (1 - Y))], as for VanishingKillingY."""
+        lam, log_scale = _exp_moment_args(lam, log_scale)
+        return np.exp(log_scale - lam * (1.0 - self.value))
 
     def describe(self) -> str:
         return f"Y = {self.value}"
@@ -116,7 +114,7 @@ class VanishingKillingY:
     def __post_init__(self):
         _positive(gamma=self.gamma)
 
-    def moment(self, k: int) -> float:
+    def moment(self, k):
         return 1.0 / (1.0 + 2.0 * k / self.gamma)
 
     def _below_half(self, w):
@@ -167,43 +165,45 @@ class VanishingKillingY:
         value = quad(integrand, 0.0, 1.0)[0]
         return float(value) if value.ndim == 0 else value
 
-    def gap_laplace(self, lam):
-        """E[e^(-lam (1 - Y))] for lam >= 0, a float or an array of them.
+    def gap_laplace(self, lam, log_scale=0.0):
+        """e^log_scale E[e^(-lam (1 - Y))] for finite real lam (floats, or
+        arrays that broadcast), log_scale folded into the exponent so that a
+        caller can keep it bounded where e^(-lam (1 - Y)) alone overflows.
 
         Below y = 1/2 as in _below_half.  Above it the gap x = 1 - y is
         scaled to x = h w with h = min(1/2, 40/lam): the layer of width 1/lam
         at y = 1, which a fixed subdivision would miss at large lam, then
         spans a fixed share of w in [0, 1], so one subdivision serves every
         lam of an array, and past x = 40/lam the factor e^(-lam x) < 4e-18
-        carries no digit.
+        carries no digit.  lam <= 80, negative lam included, has h = 1/2.
         """
-        lam = np.asarray(lam, dtype=float)
-        if not (np.isfinite(lam) & (lam >= 0)).all():
-            raise DomainError(f"lam must be finite and >= 0, got {lam}")
+        lam, log_scale = _exp_moment_args(lam, log_scale)
         g = self.gamma
         h = 0.5 / np.maximum(1.0, lam / (2.0 * _GAP_LAYER))
-        lam, h = lam[..., None, None], h[..., None, None]
+        lam, h, log_scale = lam[..., None, None], h[..., None, None], log_scale[..., None, None]
 
         def integrand(w):
             y, weight = self._below_half(w)
             x = h * w
-            return (weight * np.exp(-lam * (1.0 - y))
-                    + 0.5 * g * h * np.exp(-lam * x) * (1.0 - x) ** (0.5 * g - 1.0))
+            return (weight * np.exp(log_scale - lam * (1.0 - y))
+                    + 0.5 * g * h * np.exp(log_scale - lam * x) * (1.0 - x) ** (0.5 * g - 1.0))
 
         value = quad(integrand, 0.0, 1.0)[0]
         return float(value) if value.ndim == 0 else value
-
-    def scaled_exp_moment(self, x: float, log_scale: float) -> float:
-        """e^log_scale E[e^(xY)] with the exponents combined (no overflow)."""
-        if x > 0:
-            return exp(log_scale + x) * self.gap_laplace(x)
-        return exp(log_scale) * self.expect(lambda y, gap: np.exp(x * y))
 
     def describe(self) -> str:
         return f"Y ~ (gamma/2) y^(gamma/2-1), gamma = {self.gamma}"
 
 
 CorrelationMixture = FixedCorrelation | VanishingKillingY
+
+
+def _exp_moment_args(lam, log_scale):
+    """gap_laplace's lam (finite) and log_scale (below +inf) as float arrays."""
+    lam, log_scale = np.asarray(lam, dtype=float), np.asarray(log_scale, dtype=float)
+    if not (np.isfinite(lam) & (log_scale < np.inf)).all():
+        raise DomainError(f"lam must be finite and log_scale < inf, got {lam}, {log_scale}")
+    return lam, log_scale
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +247,8 @@ def _representation_matrix(spec: GreenSpec) -> np.ndarray:
 
 def levelset_cov(spec: GreenSpec, u: int, v: int) -> float:
     """Cov(theta_u, theta_v) in closed form (exchangeable models): rows u, v of B."""
+    if not (0 <= u <= spec.N and 0 <= v <= spec.N):
+        raise DomainError(f"levels must lie in [0, {spec.N}], got {u}, {v}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
         B = _representation_matrix(spec)
         return float(_finite(B[u] @ B[v], "level-set covariance", spec.N))
@@ -282,9 +284,9 @@ class KappaSpec:
     order: int
     tail_bound: float
 
-    @property
+    @cached_property
     def half_moments(self) -> np.ndarray:
-        return np.sqrt([self.ylaw.moment(k) for k in range(self.order + 1)])
+        return np.sqrt(self.ylaw.moment(np.arange(self.order + 1)))
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -314,7 +316,7 @@ def build_kappa_spec(ylaw: CorrelationMixture, grid) -> KappaSpec:
     if not grid:
         raise DomainError("the evaluation grid is empty")
     _require_finite(grid)
-    mk = np.array([ylaw.moment(k) for k in range(TRUNCATION_CAP + 1)])
+    mk = ylaw.moment(np.arange(TRUNCATION_CAP + 1))
     terms = mk * hermite_weighted_all(TRUNCATION_CAP, grid) ** 2  # rows t, columns k
     starts = np.arange(1, TRUNCATION_CAP + 1, TRUNCATION_STEP)  # first degree of each step
     ends = np.minimum(starts + TRUNCATION_STEP - 1, TRUNCATION_CAP)
@@ -334,11 +336,10 @@ def _series_tail_bound(ylaw, order: int) -> float:
     extension past the horizon.
     """
     knots = np.unique(np.geomspace(order + 1, _TAIL_HORIZON, 512).astype(np.int64))
-    mk = np.array([ylaw.moment(int(k)) for k in knots])
+    mk = ylaw.moment(knots)
     total = 0.0
-    for i, lo in enumerate(knots):
-        hi = knots[i + 1] if i + 1 < len(knots) else _TAIL_HORIZON + 1
-        total += mk[i] * float(lo) ** -0.5 * float(hi - lo)
+    for m, lo, hi in zip(mk, knots, np.append(knots[1:], _TAIL_HORIZON + 1)):
+        total += m * float(lo) ** -0.5 * float(hi - lo)
     total += 2.0 * mk[-1] * sqrt(float(_TAIL_HORIZON))
     return _HERMITE_ENVELOPE ** 2 * total / (2.0 * pi)
 
@@ -390,7 +391,7 @@ def kappa_cov(ylaw: CorrelationMixture, t: float, s: float,
     if method != "series":
         raise DomainError(f"unknown method {method!r}")
     ht, hs = hermite_weighted_all(order, [t, s])
-    mk = np.array([ylaw.moment(k) for k in range(order + 1)])
+    mk = ylaw.moment(np.arange(order + 1))
     return exp(-0.5 * (t * t + s * s)) / (2.0 * pi) * float(np.dot(mk, ht * hs))
 
 
@@ -404,24 +405,30 @@ def scaled_levelset_cov(N: int, gamma: float, t, s) -> float | np.ndarray:
 
     Floats t and s give a float, 1-D sequences the matrix (rows t, columns
     s) from F = 2^(-N/2) B.  Entries are row sums, not a BLAS product, so
-    each is the same float whichever other points share the call."""
+    each is the same float whichever other points share the call; they are
+    summed one row of t at a time, in O(len(s) N) memory."""
     if not 0.0 < gamma < N:
         raise DomainError(f"alpha_N = 1 - gamma/N is outside (0,1) at N = {N}, gamma = {gamma}")
     t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
     u, v = _levels(N, t), _levels(N, s)
     F = _level_factor(GreenSpec(N, SingleFlip(), 1.0 - gamma / N))
+    cov = np.empty((u.size, v.size))
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
-        cov = _finite((F[u][:, None, :] * F[v][None, :, :]).sum(axis=-1) * (N / 4.0),
-                      "scaled level-set covariance", N)
+        for i, level in enumerate(u):
+            cov[i] = (F[level] * F[v]).sum(axis=-1)
+        cov = _finite(cov * (N / 4.0), "scaled level-set covariance", N)
     return float(cov[0, 0]) if t.ndim == 0 and s.ndim == 0 else cov
 
 
 def _levels(N: int, t: np.ndarray) -> np.ndarray:
-    """The level floor(N/2 + sqrt(N)/2 t) that the scaling reads for each t."""
-    u = (N / 2 + sqrt(N) / 2 * np.atleast_1d(t)).astype(int)
-    if not np.all((0 <= u) & (u <= N)):
+    """The level floor(N/2 + sqrt(N)/2 t) that the scaling reads for each t.
+
+    The range is checked on the float, before the cast: NaN fails it, and
+    inf or a huge t never reaches the integer conversion."""
+    x = N / 2 + sqrt(N) / 2 * np.atleast_1d(t)
+    if not np.all((-1.0 < x) & (x < N + 1.0)):  # the cast truncates toward 0
         raise DomainError(f"scaled index out of range: t={t} at N={N}")
-    return u
+    return x.astype(int)
 
 
 def levelset_clt_check(gamma: float, dims, t_grid) -> dict:
@@ -467,13 +474,13 @@ class TransformCov(NamedTuple):
 def transform_cov(ylaw: CorrelationMixture, theta: float, phi: float) -> TransformCov:
     """Covariances of the transform and of its even/odd (real/imaginary) parts.
 
-    The prefactor e^{-(theta^2+phi^2)/2} and the expectation are combined in
-    the exponent (their product stays bounded even when each side overflows).
+    e^{-(theta^2+phi^2)/2} E[e^{+-theta phi Y}] = e^{-(theta-+phi)^2/2}
+    E[e^{-+theta phi (1-Y)}]: both signs are one gap_laplace call, with
+    each exponent formed without cancellation and bounded above by 0.
     """
-    log_pref = -0.5 * (theta * theta + phi * phi)
     x = theta * phi
-    plus = float(ylaw.scaled_exp_moment(x, log_pref))
-    minus = float(ylaw.scaled_exp_moment(-x, log_pref))
+    scale = [-0.5 * (theta - phi) ** 2, -0.5 * (theta + phi) ** 2]
+    plus, minus = ylaw.gap_laplace([x, -x], scale).tolist()
     return TransformCov(plus, 0.5 * (plus + minus), 0.5 * (plus - minus))
 
 

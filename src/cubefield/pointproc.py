@@ -24,7 +24,7 @@ pairs so products of hundreds of spins cannot underflow.
 
 import sys
 from dataclasses import dataclass
-from math import comb, expm1, log, log1p
+from math import comb, expm1, isnan, log, log1p
 
 import numpy as np
 
@@ -204,6 +204,8 @@ class EvolvedMeasure:
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """psi_t by the product engine of `sample_Y` with every row's count t."""
         n = 1 if size is None else size
+        if n < 0:
+            raise DomainError(f"size must be >= 0, got {n}")
         counts = np.full(n, self.steps, dtype=np.int64)
         return _signed_exp(*self.spin.log_products(counts, rng), size)
 
@@ -257,6 +259,8 @@ def beta_example_density(a: float, alpha: float, zeta: float) -> float:
     """
     increments._positive(a=a)
     increments._killing_c(alpha)
+    if isnan(zeta):
+        raise DomainError("zeta must not be NaN")
     z = abs(zeta)
     if z >= 1.0 or z == 0.0:
         return 0.0

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import comb, exp, pi, sqrt
 
@@ -252,8 +253,9 @@ def _quadpack_mixture(gamma, t, s):
 
 
 def _quadpack_gap_laplace(gamma, lam):
-    """(gamma/2) int_0^1 e^(-lam x) (1-x)^(gamma/2-1) dx, split where the layer at x = 0 ends."""
-    cut = min(0.5, 50.0 / lam)
+    """(gamma/2) int_0^1 e^(-lam x) (1-x)^(gamma/2-1) dx, split where the layer at x = 0
+    ends; lam <= 0 has no layer, and QAWS takes the whole interval."""
+    cut = min(0.5, 50.0 / lam) if lam > 0 else 0.0
     near = quad(lambda x: exp(-lam * x) * (1 - x) ** (0.5 * gamma - 1), 0.0, cut, **_QUADPACK)[0]
     far = quad(lambda x: exp(-lam * x), cut, 1.0, weight="alg", wvar=(0.0, 0.5 * gamma - 1),
                **_QUADPACK)[0]
@@ -285,28 +287,77 @@ def test_gap_laplace_matches_quadpack(gamma, log_lam):
 
 
 def test_gap_laplace_takes_an_array_of_lam():
+    # negative lam is in the domain (the transform's exponential moments of
+    # either sign); a non-finite lam, or a NaN or +inf log_scale, is not
     ylaw = lm.VanishingKillingY(1.5)
-    lam = np.array([[0.0, 1e-3, 0.5], [7.0, 150.0, 1e6]])
+    lam = np.array([[0.0, 1e-3, 0.5], [7.0, 150.0, 1e6], [-1e-3, -7.0, -60.0]])
     got = ylaw.gap_laplace(lam)
     assert got.shape == lam.shape and got[0, 0] == pytest.approx(1.0, rel=1e-15)
     for value, one in zip(got.ravel(), lam.ravel()):
         assert _close(value, ylaw.gap_laplace(float(one)), 1e-13)
-    for bad in (-1.0, np.inf, np.nan, [1.0, -2.0]):
+    for value, one in zip(got[2], lam[2]):
+        assert _close(value, _quadpack_gap_laplace(1.5, one), 1e-12), (one, value)
+    assert ylaw.gap_laplace(-60.0, -60.0) == pytest.approx(exp(-60.0) * got[2, 2], rel=1e-13)
+    assert ylaw.gap_laplace(3.0, -np.inf) == 0.0
+    for bad in (np.inf, -np.inf, np.nan, [1.0, np.nan]):
         with pytest.raises(DomainError):
             ylaw.gap_laplace(bad)
+    for bad_scale in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            ylaw.gap_laplace(1.0, bad_scale)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_GAMMAS, _POINTS, _POINTS)
-def test_scaled_exp_moment_of_both_signs_matches_quadpack(gamma, theta, phi):
+def test_exp_moment_of_both_signs_matches_quadpack(gamma, theta, phi):
+    # transform_cov's one gap_laplace call: e^(-(theta -+ phi)^2/2)
+    # E[e^(-+theta phi (1 - Y))] is e^(-(theta^2 + phi^2)/2) E[e^(+-theta phi Y)]
     ylaw = lm.VanishingKillingY(gamma)
+    x = theta * phi
+    got = ylaw.gap_laplace([x, -x], [-0.5 * (theta - phi) ** 2, -0.5 * (theta + phi) ** 2])
+    cov = lm.transform_cov(ylaw, theta, phi)
+    assert cov == (got[0], 0.5 * (got[0] + got[1]), 0.5 * (got[0] - got[1]))
     log_scale = -0.5 * (theta * theta + phi * phi)
-    for x in (theta * phi, -theta * phi):
+    for value, sign in zip(got, (1.0, -1.0)):
         want = exp(log_scale) * 0.5 * gamma * quad(
-            lambda y: exp(x * y), 0.0, 1.0, weight="alg", wvar=(0.5 * gamma - 1, 0.0),
+            lambda y: exp(sign * x * y), 0.0, 1.0, weight="alg", wvar=(0.5 * gamma - 1, 0.0),
             **_QUADPACK)[0]
-        got = ylaw.scaled_exp_moment(x, log_scale)
-        assert _close(got, want, 1e-12), (x, got, want)
+        assert _close(value, want, 1e-12), (sign * x, value, want)
+
+
+def test_transform_cov_is_one_quadrature(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gk21(*args)
+    monkeypatch.setattr(lm, "quad", counted)
+    lm.transform_cov(lm.VanishingKillingY(2.5), 1.3, -0.7)
+    assert len(calls) == 1
+    calls.clear()
+    lm.transform_cov(lm.FixedCorrelation(0.4), 1.3, -0.7)
+    assert calls == []
+
+
+def test_correlation_laws_share_one_interface():
+    for law in (lm.FixedCorrelation, lm.VanishingKillingY):
+        public = {name for name, value in vars(law).items()
+                  if callable(value) and not name.startswith("_")}
+        assert public == {"moment", "expect", "gap_laplace", "describe"}, law
+
+
+def test_moment_tables_are_one_call():
+    # the array route is the scalar arithmetic for VanishingKillingY; numpy's
+    # power may round a FixedCorrelation moment one ulp from libm's pow
+    k = np.arange(lm.TRUNCATION_CAP + 1)
+    vk = lm.VanishingKillingY(2.5)
+    assert np.array_equal(vk.moment(k), [vk.moment(int(j)) for j in k])
+    fixed = lm.FixedCorrelation(-0.45)
+    scalar = np.array([fixed.moment(int(j)) for j in k])
+    assert np.all(np.abs(fixed.moment(k) - scalar) <= np.spacing(np.abs(scalar)))
+    spec = lm.build_kappa_spec(vk, GRID)
+    assert spec.half_moments is spec.half_moments
+    assert np.array_equal(spec.half_moments, np.sqrt(vk.moment(np.arange(spec.order + 1))))
 
 
 @settings(max_examples=15, deadline=None)
@@ -481,6 +532,25 @@ def test_scaled_cov_past_the_overflowing_edge_rows_matches_exact_value():
 def test_scaled_cov_rejects_grid_points_off_the_levels():
     with pytest.raises(DomainError):
         lm.scaled_levelset_cov(100, 2.0, [0.0, 25.0], [0.0])
+
+
+def test_scaled_cov_sums_one_row_at_a_time():
+    # the same floats as the (n, n, N+1) product it replaces ...
+    for N, n in ((50, 17), (400, 41)):
+        grid = np.linspace(-1.9, 1.9, n)
+        F = lm._level_factor(walk.GreenSpec(N, inc.SingleFlip(), 1.0 - 2.0 / N))
+        u = lm._levels(N, grid)
+        old = (F[u][:, None, :] * F[u][None, :, :]).sum(axis=-1) * (N / 4.0)
+        assert np.array_equal(lm.scaled_levelset_cov(N, 2.0, grid, grid), old)
+    # ... in O(n N) memory: that product alone was 301^2 * 401 floats, 277 MiB
+    grid = np.linspace(-3.0, 3.0, 301)
+    tracemalloc.start()
+    try:
+        lm.scaled_levelset_cov(400, 2.0, grid, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak / 2 ** 20
 
 
 # ---------------------------------------------------------------------------

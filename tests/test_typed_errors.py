@@ -6,7 +6,7 @@ from math import inf, nan
 import numpy as np
 import pytest
 
-from cubefield import cli
+from cubefield import cli, field, walk
 from cubefield import increments as inc
 from cubefield import limits, pointproc as pp, polynomials
 from cubefield.errors import DomainError, NumericError, ResourceLimitError
@@ -14,6 +14,8 @@ from cubefield.errors import DomainError, NumericError, ResourceLimitError
 IID = inc.IIDBernoulli(0.3)
 MIXTURE = inc.DeFinettiDiscrete((0.2, 0.7), (0.6, 0.4))
 VK = limits.VanishingKillingY(2.0)
+NOISE4 = field.SpectralNoise(4, np.arange(16.0))
+LEVELS6 = walk.GreenSpec(6, inc.SingleFlip(), 0.5)
 NON_SPIN_LAWS = [inc.SingleFlip(), inc.MFlip(2), inc.RandomSiteHalf(),
                  inc.MarkovEntries((0.5, 0.5), ((0.9, 0.1), (0.2, 0.8)))]
 
@@ -29,12 +31,35 @@ CASES = [
     ("YLaw phi = inf", lambda: pp.YLaw(IID, 0.5, inf), DomainError),
     ("YLaw phi = nan", lambda: pp.YLaw(IID, 0.5, nan), DomainError),
     ("beta_example_density a = nan", lambda: pp.beta_example_density(nan, 0.5, 0.3), DomainError),
+    # a NaN point of the density was read as |z| >= 1 or as a power of NaN
+    ("beta_example_density zeta = nan", lambda: pp.beta_example_density(2.0, 0.5, nan),
+     DomainError),
     # grid points and t of the limit process
     ("build_kappa_spec [nan]", lambda: limits.build_kappa_spec(VK, [nan]), DomainError),
     ("build_kappa_spec [0, inf]", lambda: limits.build_kappa_spec(VK, [0.0, inf]), DomainError),
     ("kappa_cov t = nan", lambda: limits.kappa_cov(VK, nan, 0.0), DomainError),
     ("kappa_cov s = -inf mixture", lambda: limits.kappa_cov(VK, 0.0, -inf, method="mixture"),
      DomainError),
+    # a NaN transform point was a silent NaN (point mass) or a NumericError
+    ("transform_cov FixedCorrelation theta = nan",
+     lambda: limits.transform_cov(limits.FixedCorrelation(0.4), nan, 1.0), DomainError),
+    ("transform_cov FixedCorrelation phi = inf",
+     lambda: limits.transform_cov(limits.FixedCorrelation(0.4), 1.0, inf), DomainError),
+    ("transform_cov VanishingKillingY theta = nan",
+     lambda: limits.transform_cov(VK, nan, 1.0), DomainError),
+    # a non-finite t reached the integer cast of the level (a RuntimeWarning)
+    ("levelset_clt_check t = nan", lambda: limits.levelset_clt_check(2.0, [100], [nan]),
+     DomainError),
+    ("levelset_clt_check t = inf", lambda: limits.levelset_clt_check(2.0, [100], [0.0, inf]),
+     DomainError),
+    # levels past [0, N]: -1 read row N, N + 1 was a raw IndexError
+    ("levelset_cov u = -1", lambda: limits.levelset_cov(LEVELS6, -1, 0), DomainError),
+    ("levelset_cov v = N + 1", lambda: limits.levelset_cov(LEVELS6, 0, 7), DomainError),
+    # coordinate sets and vertices past [N]: raw IndexErrors, or a vertex read mod 2^N
+    ("spin_sum subset past N", lambda: field.spin_sum(0, 1 << 5, 1, NOISE4), DomainError),
+    ("spin_sum x past N", lambda: field.spin_sum(1 << 9, 0b0011, 1, NOISE4), DomainError),
+    ("infinite_field_marginal subset past N",
+     lambda: field.infinite_field_marginal(IID, 0, 0b100001, NOISE4, alpha=0.5), DomainError),
     # raw exceptions that had no type of their own
     ("binomial_pmf(-1)", lambda: polynomials.binomial_pmf(-1), DomainError),
     ("sample_Y size = -1", lambda: pp.sample_Y(pp.YLaw(IID, 0.5), np.random.default_rng(0), -1),
@@ -56,6 +81,8 @@ CASES = [
     ("LimitPoissonDirichlet.gap(2^40)", lambda: inc.LimitPoissonDirichlet(1.0).gap(1 << 40),
      ResourceLimitError),
     ("EvolvedMeasure steps = -1", lambda: pp.EvolvedMeasure(IID, -1), DomainError),
+    ("EvolvedMeasure.sample size = -1",
+     lambda: pp.EvolvedMeasure(IID, 3).sample(np.random.default_rng(0), -1), DomainError),
     # CLI grids: a NaN or infinite part was a raw ValueError or OverflowError,
     # and 10^10 points were built as a Python list
     ("grid 0:1:nan", lambda: cli._parse_grid("0:1:nan"), DomainError),
