@@ -59,17 +59,25 @@ def _model_from_args(args) -> increments.IncrementModel:
     spec = {}
     if args.config:
         with open(args.config) as fh:
-            spec.update(json.load(fh).get("model_spec", {}))
+            try:
+                config = json.load(fh)
+            except json.JSONDecodeError as err:
+                raise DomainError(f"config {args.config} is not JSON: {err}") from None
+        model_spec = config.get("model_spec", {}) if isinstance(config, dict) else None
+        if not isinstance(model_spec, dict):
+            raise DomainError(f"config {args.config} needs a model_spec object")
+        spec.update(model_spec)
     if args.model:
         spec["model"] = args.model
     for key in ("p", "a", "b", "M"):
         val = getattr(args, key, None)
         if val is not None:
             spec[key] = val
+    # the model converts the numbers, so a bad one is a DomainError naming its parameter
     if getattr(args, "atoms", None):
-        spec["atoms"] = [float(x) for x in args.atoms.split(",")]
+        spec["atoms"] = args.atoms.split(",")
     if getattr(args, "weights", None):
-        spec["weights"] = [float(x) for x in args.weights.split(",")]
+        spec["weights"] = args.weights.split(",")
     if not spec:
         raise DomainError("no model specified (use --model or --config)")
     return increments.model_from_dict(spec)

@@ -21,6 +21,7 @@ import SciPy where they use it: `import cubefield` loads none of it.
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from math import ceil, comb, exp, fsum, isclose, log
+from operator import index
 
 import numpy as np
 
@@ -60,6 +61,25 @@ def _positive(**values):
     for name, value in values.items():
         if not 0.0 < value < float("inf"):
             raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; a float, even an integral one, raises DomainError."""
+    try:
+        return index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _floats(name: str, values, depth: int = 1) -> tuple:
+    """values as a tuple of floats (of such tuples at depth 2).  A string, a
+    scalar or an entry that is no number raises DomainError naming it."""
+    try:
+        if isinstance(values, (str, bytes)):
+            raise TypeError(name)
+        return tuple(float(v) if depth == 1 else _floats(name, v, depth - 1) for v in values)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a sequence of numbers, got {values!r}") from None
 
 
 class IncrementModel:
@@ -164,12 +184,13 @@ class _DeFinetti(IncrementModel):
         up its chunk sums.  The error of log|Y| grows with that row's own
         spin count, never with the rows drawn before it.  Memory is O(rows)
         plus O(2^18) per chunk; time is O(rows + sum counts).  A row holding
-        a zero spin gets sign 0 and log-magnitude -inf.
+        a zero spin gets sign 0 and log-magnitude -inf.  Signs are int8, one
+        byte a row; log|Y| is float64.
 
         The batch route beside `_product`, for Y in batches of 10^5-10^6
         rows; single draws stay on `_product`, 1.3-4x faster at one row.
         """
-        signs, logs = np.ones(counts.shape), np.zeros(counts.shape)
+        signs, logs = np.ones(counts.shape, dtype=np.int8), np.zeros(counts.shape)
         ends = np.cumsum(counts)
         total = int(counts.sum())
         for lo in range(0, total, _SPIN_CHUNK):
@@ -181,11 +202,11 @@ class _DeFinetti(IncrementModel):
             seg = np.diff(np.minimum(ends[first:last + 1], hi) - lo, prepend=0)
             row = np.repeat(np.arange(seg.size), seg)
             odd = np.bincount(row[draws < 0.0], minlength=seg.size) & 1
-            signs[first:last + 1] *= 1.0 - 2.0 * odd
+            signs[first:last + 1] *= 1 - 2 * odd
             with np.errstate(divide="ignore"):
                 np.log(np.abs(draws, out=draws), out=draws)
             logs[first:last + 1] += np.bincount(row, weights=draws, minlength=seg.size)
-        signs[np.isneginf(logs)] = 0.0
+        signs[np.isneginf(logs)] = 0
         return signs, logs
 
     def has_atom_at_zero(self) -> bool:
@@ -255,9 +276,9 @@ class _PointMasses(_DeFinetti):
         within half an ulp of it; with A atoms, A rounded products summed.
         Rows go to the generator in blocks of 2^18 count cells, so time and
         memory are O(rows) at any alpha.  A row holding a zero spin gets
-        sign 0 and log-magnitude -inf.
+        sign 0 and log-magnitude -inf.  Signs are int8, as in the spin route.
         """
-        signs, logs = np.ones(counts.shape), np.zeros(counts.shape)
+        signs, logs = np.empty(counts.shape, dtype=np.int8), np.zeros(counts.shape)
         points = self._points
         negative, zero = points < 0.0, points == 0.0
         log_abs = np.log(np.abs(np.where(zero, 1.0, points)))  # zero atoms are flagged apart
@@ -267,10 +288,10 @@ class _PointMasses(_DeFinetti):
             n = rng.multinomial(counts[lo:hi], self.weights)
             np.matmul(n, log_abs, out=logs[lo:hi])
             odd = n[:, negative].sum(axis=1) & 1
-            np.subtract(1.0, 2.0 * odd, out=signs[lo:hi])
+            signs[lo:hi] = 1 - 2 * odd
             if zero.any():
                 hit = n[:, zero].any(axis=1)
-                signs[lo:hi][hit] = 0.0
+                signs[lo:hi][hit] = 0
                 logs[lo:hi][hit] = -np.inf
         return signs, logs
 
@@ -298,8 +319,8 @@ class DeFinettiDiscrete(_PointMasses):
     weights: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(float(a) for a in self.atoms))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "atoms", _floats("atoms", self.atoms))
+        object.__setattr__(self, "weights", _floats("weights", self.weights))
         if len(self.atoms) != len(self.weights) or not self.atoms:
             raise DomainError("atoms and weights must be nonempty and equal length")
         if any(not 0.0 <= a <= 1.0 for a in self.atoms):
@@ -446,6 +467,7 @@ class MFlip(_DimensionDependent):
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _integer("flip count m", self.m))
         if self.m < 1:
             raise DomainError(f"flip count must be >= 1, got {self.m}")
 
@@ -506,8 +528,8 @@ class MarkovEntries(IncrementModel):
     is_exchangeable = False
 
     def __post_init__(self):
-        init = tuple(float(v) for v in self.initial)
-        rows = tuple(tuple(float(v) for v in row) for row in self.transition)
+        init = _floats("initial", self.initial)
+        rows = _floats("transition", self.transition, depth=2)
         object.__setattr__(self, "initial", init)
         object.__setattr__(self, "transition", rows)
         if len(init) != 2 or not isclose(sum(init), 1.0, abs_tol=1e-12) or min(init) < 0:
@@ -841,7 +863,13 @@ _KEY_ALIASES = {"m": "M"}  # reports print MFlip's flip count as "M"
 
 
 def model_from_dict(spec: dict) -> IncrementModel:
-    """Build a model from a JSON-style dict, e.g. {"model": "mflip", "M": 2}; extra keys raise."""
+    """Build a model from a JSON-style dict, e.g. {"model": "mflip", "M": 2}.
+
+    Extra or missing keys raise DomainError, and so does a value that is not
+    of its parameter's kind: a float parameter takes what float() converts,
+    the flip count an integer, and atoms, weights and the Markov tables
+    sequences of numbers.
+    """
     if "model" not in spec:
         raise DomainError("model spec needs a 'model' key")
     name = str(spec["model"]).lower().replace("_", "-")
@@ -852,9 +880,21 @@ def model_from_dict(spec: dict) -> IncrementModel:
     if extra := sorted(lowered.keys() - {f.name for f in fields(cls)}):
         raise DomainError(f"model {name!r} takes no parameter {', '.join(extra)}")
     try:
-        return cls(**{f.name: f.type(lowered[f.name]) for f in fields(cls)})
+        values = {f.name: lowered[f.name] for f in fields(cls)}
     except KeyError as missing:
         raise DomainError(f"model {name!r} is missing parameter {missing}") from None
+    for f in fields(cls):
+        if f.type is float:  # int and tuple parameters are checked where the model is built
+            values[f.name] = _number(f.name, values[f.name])
+    return cls(**values)
+
+
+def _number(name: str, value) -> float:
+    """value as a float, or DomainError naming the parameter."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"parameter {name} must be a number, got {value!r}") from None
 
 
 def model_to_dict(model) -> dict:

@@ -82,10 +82,10 @@ def sample_Y_signed_log(law: YLaw, rng: np.random.Generator,
                         size: int) -> tuple[np.ndarray, np.ndarray]:
     """(sign, log|Y_phi|) pairs: the product of a random number of i.i.d. spins.
 
-    sign is in {-1, 0, +1}; a zero spin gives sign 0 and log|Y| = -inf.  The
-    count is the geometric T by inversion at phi = 1, else Poisson(lambda c)
-    with lambda ~ Gamma(phi) (the same law at phi = 1); the spin law's
-    `log_products` multiplies the spins.
+    sign is an int8 in {-1, 0, +1}; a zero spin gives sign 0 and
+    log|Y| = -inf.  The count is the geometric T by inversion at phi = 1,
+    else Poisson(lambda c) with lambda ~ Gamma(phi) (the same law at
+    phi = 1); the spin law's `log_products` multiplies the spins.
     """
     if size < 0:
         raise DomainError(f"size must be >= 0, got {size}")
@@ -117,10 +117,11 @@ def sample_Y(law: YLaw, rng: np.random.Generator, size: int | None = None):
 
     Route: the count, the product of its spins from the atom counts
     (point-mass laws) or from chunked spin draws (continuous laws), then
-    sign * exp(log|Y|); see the spin law's `log_products`.  The tracemalloc
-    peak is a few arrays of `size` floats plus O(2^18) per chunk, at any
-    alpha: 10^6 draws of DeFinettiDiscrete((0.2, 0.9), (0.5, 0.5)) at
-    alpha = 0.75 stay under 32 MiB.  With one atom x, log|Y| is within half
+    sign * exp(log|Y|), in place in the log array; see the spin law's
+    `log_products`.  The tracemalloc peak is the int64 counts, the float64
+    logs and the int8 signs (17 bytes a draw) plus O(2^18) per chunk, at
+    any alpha: 10^6 draws of DeFinettiDiscrete((0.2, 0.9), (0.5, 0.5)) at
+    alpha = 0.75 peak at 21.2 MiB.  With one atom x, log|Y| is within half
     an ulp of (count) log|x|.
     """
     n = 1 if size is None else size
@@ -194,6 +195,7 @@ class EvolvedMeasure:
 
     def __post_init__(self):
         _require_spin_law(self.spin)
+        object.__setattr__(self, "steps", increments._integer("step count", self.steps))
         if self.steps < 0:
             raise DomainError(f"step count must be >= 0, got {self.steps}")
 

@@ -22,11 +22,11 @@ H_{k+1}(t) = t H_k(t) - k H_{k-1}(t), generated by e^{wt - w^2/2}.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, sqrt
+from math import comb, isfinite, sqrt
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 EXACT_N_LIMIT = 64
 
@@ -174,15 +174,24 @@ def krawtchouk_weighted_matrix(N: int) -> np.ndarray:
 
 
 def hermite_all(max_degree: int, t: float) -> np.ndarray:
-    """H_0(t)..H_K(t) in one iterative pass of the three-term recurrence."""
+    """H_0(t)..H_K(t) in one iterative pass of the three-term recurrence.
+
+    H_k(t) grows with k like sqrt(k!) e^(t^2/4): a value past the float
+    range (H_400(30) is -2.1e531) raises NumericError.
+    """
     if max_degree < 0:
         raise DomainError(f"degree must be >= 0, got {max_degree}")
+    if not isfinite(t):
+        raise DomainError(f"t must be finite, got {t}")
     h = np.empty(max_degree + 1)
     h[0] = 1.0
     if max_degree >= 1:
         h[1] = t
-    for k in range(1, max_degree):
-        h[k + 1] = t * h[k] - k * h[k - 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for k in range(1, max_degree):
+            h[k + 1] = t * h[k] - k * h[k - 1]
+    if not np.isfinite(h).all():
+        raise NumericError(f"H_k({t}) for k <= {max_degree} is past the float range")
     return h
 
 

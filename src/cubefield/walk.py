@@ -202,7 +202,10 @@ def green_hamming(spec: GreenSpec, u: int, v: int) -> float:
 
 
 def sample_geometric_time(alpha: float, rng: np.random.Generator) -> int:
-    """T_alpha with P(T = t) = (1-alpha) alpha^t, t >= 0, by CDF inversion."""
+    """T_alpha with P(T = t) = (1-alpha) alpha^t, t >= 0, by CDF inversion;
+    alpha outside (0, 1), NaN included, raises DomainError."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must be in (0,1), got {alpha}")
     u = 1.0 - rng.random()  # in (0, 1]
     return int(floor(log(u) / log(alpha)))
 

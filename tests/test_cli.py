@@ -86,6 +86,23 @@ def test_config_file_model(tmp_path):
     assert report["oracle_max_discrepancy"] < 1e-10
 
 
+@pytest.mark.parametrize("spec", [
+    {"model_spec": {"model": "mflip", "M": "x"}},
+    {"model_spec": {"model": "mflip", "M": 2.5}},
+    {"model_spec": {"model": "definetti-discrete", "atoms": "0.2", "weights": [1.0]}},
+    {"model_spec": {"model": "iid-bernoulli", "p": [0.3]}},
+    {"model_spec": "mflip"},
+], ids=["M-x", "M-2.5", "atoms-string", "p-list", "spec-string"])
+def test_config_values_of_the_wrong_kind_exit_3(tmp_path, capsys, spec):
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps(spec))
+    out = tmp_path / "green.csv"
+    code = run(["green", "--config", str(config), "--N", "4", "--alpha", "0.5", "--out", str(out)])
+    assert code == 3
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_field_verify_report(tmp_path):
     out = tmp_path / "report.json"
     code = run(["sample", "field", "--model", "single-flip", "--N", "3",
@@ -331,6 +348,32 @@ def test_limits_fixed_correlation_parseval(tmp_path):
     assert report["parseval"]["lhs"] == pytest.approx(sqrt(pi), abs=1e-8)
     assert report["parseval"]["rhs"] == pytest.approx(sqrt(pi), abs=1e-12)
     assert "clt_gaps" not in report
+
+
+def test_limits_negative_fixed_correlation_exits_3(tmp_path, capsys):
+    # E[Y^k] < 0 at odd k: the series of kappa has no real basis
+    out, tcov = tmp_path / "limits.json", tmp_path / "transform.csv"
+    code = run(["limits", "--fixed-y", "-0.4", "--out", str(out), "--transform-out", str(tcov)])
+    assert code == 3
+    assert "E[Y^1] < 0" in capsys.readouterr().err
+    assert not out.exists() and not tcov.exists()
+
+
+def test_limits_loads_no_scipy(tmp_path):
+    # a fresh interpreter: the whole limits report, inversion weights included,
+    # runs on numpy alone (scipy.special's gammaln loaded 66 SciPy modules)
+    script = textwrap.dedent("""
+        import sys
+        from cubefield import cli
+        assert cli.main(["limits", "--gamma", "2", "--out", "limits.json"]) == 0
+        loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        assert not loaded, loaded
+    """)
+    src = str(Path(cubefield.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_limits_report(tmp_path):

@@ -670,6 +670,19 @@ def test_transform_weights_match_mpmath():
                     assert abs(got) <= 1e-280, (theta, j)
 
 
+def test_log_factorials_within_one_ulp():
+    # against 50-digit mpmath; math.log(k!) alone is 1.14 ulp off at k = 171
+    mpmath = pytest.importorskip("mpmath")
+    table = lm._log_factorials(512)
+    assert table.shape == (513,) and not table.flags.writeable
+    assert lm._log_factorials(512) is table
+    with mpmath.workdps(50):
+        for k in range(513):
+            exact = mpmath.log(mpmath.factorial(k))
+            assert abs(table[k] - exact) <= np.spacing(float(exact)), k
+    assert np.array_equal(lm._log_factorials(40), table[:41])
+
+
 def test_transform_weights_parity_exact():
     spec = lm.build_kappa_spec(lm.VanishingKillingY(2.0), GRID)
     thetas = np.array([1e-3, 0.5, 1.0, 7.3, 40.0])

@@ -381,10 +381,18 @@ def test_point_mass_peak_does_not_grow_with_alpha():
 
 
 def test_sample_Y_peak_is_its_counts_signs_and_logs():
-    # three arrays of 10^6 (8 MiB each) and one block of atom counts
+    # int64 counts and float64 logs of 10^6 (8 MiB each), int8 signs (1 MiB)
+    # and one block of atom counts: 21.2 MiB
     law = pp.YLaw.from_model(DISCRETE, 0.75)
     rng = np.random.default_rng(1)
-    assert traced_peak(lambda: pp.sample_Y(law, rng, size=1_000_000)) < 32 << 20
+    assert traced_peak(lambda: pp.sample_Y(law, rng, size=1_000_000)) < 22 << 20
+
+
+@pytest.mark.parametrize("model", [DISCRETE, inc.DeFinettiBeta(1.5, 2.5)])
+def test_signs_are_one_byte(model):
+    signs, logs = pp.sample_Y_signed_log(pp.YLaw(model, 0.75), np.random.default_rng(2), 1000)
+    assert signs.dtype == np.int8 and logs.dtype == np.float64
+    assert set(np.unique(signs).tolist()) == {-1, 1}
 
 
 def test_continuous_peak_is_bounded_by_the_chunk():

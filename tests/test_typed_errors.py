@@ -92,6 +92,34 @@ CASES = [
     ("grid 0:1e7:1e-3", lambda: cli._parse_grid("0:1e7:1e-3"), ResourceLimitError),
     ("grid -1e308:1e308:1", lambda: cli._parse_grid("-1e308:1e308:1"), ResourceLimitError),
     ("grid 0:1:1e-320", lambda: cli._parse_grid("0:1:1e-320"), ResourceLimitError),
+    # a killing rate outside (0, 1): ZeroDivisionError at 1, ValueError at 0 and
+    # NaN, and a silent T = -1 at 1.5
+    *[(f"sample_geometric_time alpha = {alpha}",
+       lambda alpha=alpha: walk.sample_geometric_time(alpha, np.random.default_rng(0)),
+       DomainError) for alpha in (1.0, 0.0, nan, 1.5)],
+    # moment read rho^2.5 while sample multiplied 2 spins
+    ("EvolvedMeasure steps = 2.5", lambda: pp.EvolvedMeasure(IID, 2.5), DomainError),
+    # NaN after an overflow RuntimeWarning
+    ("hermite_eval(400, 30)", lambda: polynomials.hermite_eval(400, 30.0), NumericError),
+    ("hermite_eval(3, nan)", lambda: polynomials.hermite_eval(3, nan), DomainError),
+    # the series of kappa reads sqrt(E[Y^k]): NaN at odd k for Y = -0.4
+    ("build_kappa_spec FixedCorrelation(-0.4)",
+     lambda: limits.build_kappa_spec(limits.FixedCorrelation(-0.4), [0.0]), DomainError),
+    ("KappaSpec FixedCorrelation(-0.4) basis",
+     lambda: limits.KappaSpec(limits.FixedCorrelation(-0.4), (0.0,), 8, 0.0).basis, DomainError),
+    # model parameters from outside the program: raw ValueErrors, a string read as
+    # its characters, a fractional flip count accepted
+    ("MFlip(2.5)", lambda: inc.MFlip(2.5), DomainError),
+    ("model_from_dict M = 'x'", lambda: inc.model_from_dict({"model": "mflip", "M": "x"}),
+     DomainError),
+    ("model_from_dict p = 'x'",
+     lambda: inc.model_from_dict({"model": "iid-bernoulli", "p": "x"}), DomainError),
+    ("model_from_dict atoms = '0.2'",
+     lambda: inc.model_from_dict({"model": "definetti-discrete", "atoms": "0.2",
+                                  "weights": [1.0]}), DomainError),
+    ("model_from_dict transition row ['q']",
+     lambda: inc.model_from_dict({"model": "markov-entries", "initial": [0.5, 0.5],
+                                  "transition": [[0.9, "q"], [0.2, 0.8]]}), DomainError),
 ]
 # a law that is not a de Finetti spin law is refused where the product law is built
 CASES += [(f"YLaw({type(m).__name__})", lambda m=m: pp.YLaw(m, 0.5), DomainError)
