@@ -10,6 +10,7 @@ numeric/domain error.
 import argparse
 import json
 import sys
+from functools import cache
 from math import floor, isfinite
 
 import numpy as np
@@ -320,7 +321,12 @@ def _add_model_arguments(parser):
     parser.add_argument("--weights", help="comma-separated mixture weights")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: every parse returns a new
+    namespace from it.  Each subcommand's func default is the cmd_* function
+    bound when the parser is built, so replacing a cmd_* attribute later does
+    not reach main."""
     parser = argparse.ArgumentParser(
         prog="cubefield",
         description="Gaussian fields on hypercubes from killed long-range walks",
@@ -375,12 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
     ylaw.set_defaults(func=cmd_ylaw)
 
     lim = sub.add_parser("limits", help="CLT gaps, transform grid, Parseval, inversion")
-    lim.add_argument("--gamma", type=float)
-    lim.add_argument("--fixed-y", type=float,
+    law = lim.add_mutually_exclusive_group()
+    law.add_argument("--gamma", type=float)
+    law.add_argument("--fixed-y", type=float,
                      help="use a constant correlation law instead of the gamma mixture")
     lim.add_argument("--N-list", type=_positive_int_list, default="50,100,200,400")
     lim.add_argument("--grid", default="-1.5:1.5:0.75")
-    lim.add_argument("--inversion-t", type=float, nargs="*", default=[0.0, 1.0, -1.0])
+    lim.add_argument("--inversion-t", type=float, nargs="*", default=[0.0, 1.0, -1.0],
+                     help="t points of the inversion check, each with |t| <= 16")
     lim.add_argument("--seed", type=int, default=0)
     lim.add_argument("--out", required=True, help="JSON report path")
     lim.add_argument("--transform-out", help="transform covariance CSV path")

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .field import FieldSample
-from .polynomials import hermite_weighted_all, krawtchouk_weighted_matrix
+from .polynomials import hermite_functions, krawtchouk_weighted_matrix
 from .increments import SingleFlip, _positive
 from .quadrature import quad
 from .walk import GreenSpec
@@ -66,8 +66,13 @@ _GAP_LAYER = 40.0
 # holds a share of the integral far under one ulp (and v^2 would underflow)
 _LAYER_REACH = 3.8e-4
 _LAYER_FLOOR = 1e-100
-# nodes of the inversion check's trapezoid rule on [0, theta_max]
-_INVERSION_NODES = 4097
+# inversion_check takes |t| <= _INVERSION_WINDOW.  Its trapezoid rule with step
+# h errs only by kappa at t +- 2 pi / h, the rule's aliases (Trefethen and
+# Weideman, SIAM Review 56, 2014), and past |s| = _KAPPA_REACH each term of
+# kappa_s is below 1.09 e^(-s^2/4) |zeta_k| < 5e-19 |zeta_k|: a step with
+# 2 pi / h >= _INVERSION_WINDOW + _KAPPA_REACH keeps the window alias-free
+_INVERSION_WINDOW = 16.0
+_KAPPA_REACH = 13.0
 # grid pairs per batch integral of the CLT check: a round that splits up to
 # 190 panels stays within quadrature.quad's 2^21 integrand values
 _PAIR_BATCH = 256
@@ -298,15 +303,22 @@ class KappaSpec:
     @cached_property
     def basis(self) -> np.ndarray:
         """(2 pi)^(-1/2) e^(-t^2/2) m_k H_k(t) / sqrt(k!): rows t in the grid,
-        columns k = 0..order, so kappa over the grid is basis @ zeta."""
+        columns k = 0..order, so kappa over the grid is basis @ zeta.
+        build_kappa_spec fills it from the Hermite table of its truncation
+        rule, so a built spec runs the recurrence once."""
+        return self._basis_of(hermite_functions(self.order, self.grid))
+
+    def _basis_of(self, psi: np.ndarray) -> np.ndarray:
+        """basis from the Hermite functions psi_k(t) = e^(-t^2/4) H_k(t) / sqrt(k!)
+        on the grid: the other e^(-t^2/4) goes on last, so no factor overflows."""
         t = np.array(self.grid)
-        envelope = np.exp(-0.5 * t * t) / sqrt(2.0 * pi)
-        return envelope[:, None] * self.half_moments * hermite_weighted_all(self.order, t)
+        envelope = np.exp(-0.25 * t * t) / sqrt(2.0 * pi)
+        return envelope[:, None] * self.half_moments * psi
 
     @cached_property
     def inversion_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """transform_weight_matrices on inversion_check's theta grid, built
-        once per spec: 4097 x (order + 1) floats, 16.8 MB at order 512."""
+        once per spec: 186 x (order + 1) floats, 0.8 MB at order 512."""
         return transform_weight_matrices(self, _inversion_thetas(self.order))
 
 
@@ -324,14 +336,25 @@ def build_kappa_spec(ylaw: CorrelationMixture, grid) -> KappaSpec:
         raise DomainError("the evaluation grid is empty")
     _require_finite(grid)
     mk = _series_moments(ylaw, TRUNCATION_CAP)
-    terms = mk * hermite_weighted_all(TRUNCATION_CAP, grid) ** 2  # rows t, columns k
+    psi = hermite_functions(TRUNCATION_CAP, grid)
+    terms = mk * psi ** 2  # rows t, columns k
     starts = np.arange(1, TRUNCATION_CAP + 1, TRUNCATION_STEP)  # first degree of each step
     ends = np.minimum(starts + TRUNCATION_STEP - 1, TRUNCATION_CAP)
     inc = np.add.reduceat(terms, starts, axis=1)
     var = np.cumsum(np.hstack([terms[:, :1], inc]), axis=1)[:, 1:]  # variance after each step
-    below = np.flatnonzero((inc / var).max(axis=0) < TRUNCATION_REL_TOL)
+    # a row whose every term underflows (|t| past about 55) takes no part: kappa
+    # is 0 there at any order.  In the others a step before the first term that
+    # does not underflow has added nothing yet, and is not converged
+    live = var[:, -1] > 0.0
+    inc, var = inc[live], var[live]
+    ratio = np.divide(inc, var, out=np.full_like(inc, np.inf), where=var > 0.0)
+    below = np.flatnonzero(ratio.max(axis=0, initial=0.0) < TRUNCATION_REL_TOL)
     order = int(ends[below[0]] if below.size else ends[-1])
-    return KappaSpec(ylaw, grid, order, _series_tail_bound(ylaw, order))
+    spec = KappaSpec(ylaw, grid, order, _series_tail_bound(ylaw, order))
+    # a column k of the table depends on columns k - 1 and k - 2 only, so its
+    # first order + 1 columns are the bits the basis' own recurrence would give
+    vars(spec)["basis"] = spec._basis_of(psi[:, :order + 1])
+    return spec
 
 
 def _series_moments(ylaw, order: int) -> np.ndarray:
@@ -393,7 +416,9 @@ def kappa_cov(ylaw: CorrelationMixture, t: float, s: float,
               method: str = "series", order: int = TRUNCATION_CAP) -> float:
     """Cov(kappa_t, kappa_s) by either route.
 
-    series:  (1/2pi) e^(-(t^2+s^2)/2) sum_{k<=order} E[Y^k] H_k(t) H_k(s) / k!
+    series:  (1/2pi) e^(-(t^2+s^2)/2) sum_{k<=order} E[Y^k] H_k(t) H_k(s) / k!,
+             summed on the Hermite functions e^(-t^2/4) H_k(t) / sqrt(k!),
+             so no term overflows
     mixture: E[n(t, s; Y)] over the correlation law.
 
     The two agree exactly in the limit (the bivariate-normal kernel is the
@@ -407,9 +432,9 @@ def kappa_cov(ylaw: CorrelationMixture, t: float, s: float,
         return ylaw.expect(lambda y, gap: _normal_density(t, s, y, gap), layer=abs(t - s))
     if method != "series":
         raise DomainError(f"unknown method {method!r}")
-    ht, hs = hermite_weighted_all(order, [t, s])
+    ht, hs = hermite_functions(order, [t, s])
     mk = ylaw.moment(np.arange(order + 1))
-    return exp(-0.5 * (t * t + s * s)) / (2.0 * pi) * float(np.dot(mk, ht * hs))
+    return exp(-0.25 * (t * t + s * s)) / (2.0 * pi) * float(np.dot(mk, ht * hs))
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +584,14 @@ def transform_sample(spec: KappaSpec, zetas: np.ndarray, theta_grid) -> tuple[np
 
 
 def _inversion_thetas(order: int) -> np.ndarray:
-    """inversion_check's nodes: the window must cover the highest retained
-    order (the k-th basis function peaks near theta = sqrt(k))."""
-    return np.linspace(0.0, sqrt(2.0 * order) + 8.0, _INVERSION_NODES)
+    """inversion_check's nodes on [0, theta_max], theta_max = sqrt(2 order) + 8,
+    which covers the highest retained order (the k-th weight peaks near
+    theta = sqrt(k)).  The fewest nodes whose step h has 2 pi / h >=
+    _INVERSION_WINDOW + _KAPPA_REACH, so no t in the window aliases: 186 at
+    order 512.  The count depends on the order alone."""
+    theta_max = sqrt(2.0 * order) + 8.0
+    nodes = ceil(theta_max * (_INVERSION_WINDOW + _KAPPA_REACH) / (2.0 * pi)) + 1
+    return np.linspace(0.0, theta_max, nodes)
 
 
 def inversion_check(spec: KappaSpec, zetas: np.ndarray, t) -> float | np.ndarray:
@@ -569,15 +599,20 @@ def inversion_check(spec: KappaSpec, zetas: np.ndarray, t) -> float | np.ndarray
 
     kappa_hat = U + iV comes from the same zetas as kappa_t.  U is even in
     theta and V odd, so the integral is (1/pi) times the trapezoid rule for
-    U cos(theta t) + V sin(theta t) on 4097 points of [0, theta_max], with
-    theta_max = sqrt(2 order) + 8.  The weights on those points are the
-    spec's inversion_weights, so repeated checks on one spec build them
-    once, and one transform serves every t: a float t gives a float, a 1-D
-    sequence an array.
+    U cos(theta t) + V sin(theta t) on the nodes of _inversion_thetas.  On
+    this smooth, Gaussian-decaying integrand the rule's only error is
+    aliasing, and the step keeps it below rounding for |t| <= 16, the
+    window; a t outside it, NaN or infinite raises DomainError.  The
+    weights on the nodes are the spec's inversion_weights, so repeated
+    checks on one spec build them once, and one transform serves every t:
+    a float t gives a float, a 1-D sequence an array.
     """
     zetas = _spec_normals(spec, zetas)
     ts = np.asarray(t, dtype=float)
     grid = np.atleast_1d(ts)
+    if not np.all(np.abs(grid) <= _INVERSION_WINDOW):
+        raise DomainError(f"inversion_check takes |t| <= {_INVERSION_WINDOW}, the window its "
+                          f"trapezoid rule keeps free of aliasing; got t = {ts.tolist()}")
     thetas = _inversion_thetas(spec.order)
     W_even, W_odd = spec.inversion_weights
     U, V = W_even @ zetas[0::2], W_odd @ zetas[1::2]

@@ -17,7 +17,8 @@ cached per N: ``krawtchouk_matrix`` (Q_k(w)) serves the Green functions,
 the edge arguments) only the level-set factor of ``limits``.
 
 Hermite polynomials H_k here are the probabilists' family,
-H_{k+1}(t) = t H_k(t) - k H_{k-1}(t), generated by e^{wt - w^2/2}.
+H_{k+1}(t) = t H_k(t) - k H_{k-1}(t), generated by e^{wt - w^2/2}; the
+limit layer reads the Hermite functions e^(-t^2/4) H_k(t) / sqrt(k!).
 """
 
 from fractions import Fraction
@@ -200,20 +201,21 @@ def hermite_eval(k: int, t: float) -> float:
     return float(hermite_all(k, t)[k])
 
 
-def hermite_weighted_all(max_degree: int, t) -> np.ndarray:
-    """H_k(t) / sqrt(k!) for k = 0..max_degree, overflow-free.
+def hermite_functions(max_degree: int, t) -> np.ndarray:
+    """e^(-t^2/4) H_k(t) / sqrt(k!) for k = 0..max_degree, overflow-free.
 
     For an array of t the result has one row per t and one column per k.
-    Recurrence h_{k+1} = (t h_k - sqrt(k) h_{k-1}) / sqrt(k+1); values stay
-    bounded by ~1.1 e^{t^2/4} for all k.
+    Recurrence h_{k+1} = (t h_k - sqrt(k) h_{k-1}) / sqrt(k+1) from
+    h_0 = e^(-t^2/4): every value stays within 1.09 (Cramer's inequality),
+    so no t overflows; a row underflows to 0 only past |t| ~ 55.
     """
     if max_degree < 0:
         raise DomainError(f"degree must be >= 0, got {max_degree}")
     t = np.asarray(t, dtype=float)
     h = np.empty((max_degree + 1,) + t.shape)
-    h[0] = 1.0
+    h[0] = np.exp(-0.25 * t * t)
     if max_degree >= 1:
-        h[1] = t
+        h[1] = t * h[0]
     for k in range(1, max_degree):
         h[k + 1] = (t * h[k] - sqrt(k) * h[k - 1]) / sqrt(k + 1)
     return np.ascontiguousarray(np.moveaxis(h, 0, -1))

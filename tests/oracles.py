@@ -4,7 +4,9 @@ Each one computes a quantity of the package a second way: the dense Green
 matrix against every column, the spectral Green function against the
 killed moments, the Beta(a, 1) worked example
 step by step, the field order by order, the time-side Parseval identity,
-and the Walsh characters as an explicit sign vector.
+the Walsh characters as an explicit sign vector, the Hermite polynomials
+scaled by 1/sqrt(k!) alone, and the Fourier inversion of kappa on a dense
+trapezoid rule.
 """
 
 from math import exp, log, pi, sqrt
@@ -16,7 +18,7 @@ from scipy.special import gammaln
 from cubefield import increments
 from cubefield.errors import DomainError
 from cubefield.field import SpectralNoise, spin_sum_all_vertices
-from cubefield.limits import VanishingKillingY, kappa_cov
+from cubefield.limits import KappaSpec, VanishingKillingY, kappa_cov, transform_weight_matrices
 from cubefield.pointproc import YLaw, killed_measure_moments
 from cubefield.walk import GreenSpec, green_spectral, transition_matrix
 
@@ -111,3 +113,34 @@ def subset_signs(mask: int, n_bits: int) -> np.ndarray:
     """(-1)^popcount(A & mask) for every subset index A in [0, 2^n_bits)."""
     pc = np.bitwise_count(np.arange(1 << n_bits, dtype=np.uint64) & np.uint64(mask))
     return 1.0 - 2.0 * (pc.astype(np.int64) & 1)
+
+
+def hermite_weighted_all(max_degree: int, t) -> np.ndarray:
+    """H_k(t) / sqrt(k!) for k = 0..max_degree, one row per t.
+
+    Recurrence h_{k+1} = (t h_k - sqrt(k) h_{k-1}) / sqrt(k+1) from h_0 = 1;
+    values grow like e^{t^2/4} and overflow near |t| = 53.
+    """
+    t = np.asarray(t, dtype=float)
+    h = np.empty((max_degree + 1,) + t.shape)
+    h[0] = 1.0
+    if max_degree >= 1:
+        h[1] = t
+    for k in range(1, max_degree):
+        h[k + 1] = (t * h[k] - sqrt(k) * h[k - 1]) / sqrt(k + 1)
+    return np.ascontiguousarray(np.moveaxis(h, 0, -1))
+
+
+def inversion_check_dense(spec: KappaSpec, zetas, t) -> np.ndarray:
+    """|(1/2pi) integral e^{-i theta t} kappa_hat dtheta - kappa_t| for each t,
+    by the parity-folded trapezoid rule on 4097 nodes of [0, sqrt(2 order) + 8],
+    16-20 times the nodes its aliasing bound needs."""
+    zetas = np.asarray(zetas, dtype=float)
+    grid = np.atleast_1d(np.asarray(t, dtype=float))
+    thetas = np.linspace(0.0, sqrt(2.0 * spec.order) + 8.0, 4097)
+    W_even, W_odd = transform_weight_matrices(spec, thetas)
+    U, V = W_even @ zetas[0::2], W_odd @ zetas[1::2]
+    phase = np.multiply.outer(grid, thetas)
+    integral = np.trapezoid(np.cos(phase) * U + np.sin(phase) * V, thetas) / pi
+    basis = KappaSpec(spec.ylaw, tuple(grid.tolist()), spec.order, spec.tail_bound).basis
+    return np.abs(integral - (basis * zetas).sum(axis=1))

@@ -359,6 +359,72 @@ def test_limits_negative_fixed_correlation_exits_3(tmp_path, capsys):
     assert not out.exists() and not tcov.exists()
 
 
+def test_limits_takes_one_law(tmp_path, capsys):
+    # --gamma with --fixed-y wrote the fixed law's report with the gamma law's CLT gaps
+    out = tmp_path / "limits.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["limits", "--gamma", "2", "--fixed-y", "0.4", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert run(["limits", "--out", str(out)]) == 3
+    assert "needs --gamma or --fixed-y" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_limits_inversion_t_past_the_window_exits_3(tmp_path, capsys):
+    out, tcov = tmp_path / "limits.json", tmp_path / "transform.csv"
+    code = run(["limits", "--gamma", "2", "--N-list", "50", "--inversion-t", "0", "100",
+                "--out", str(out), "--transform-out", str(tcov)])
+    assert code == 3
+    assert "|t| <= 16" in capsys.readouterr().err
+    assert not out.exists() and not tcov.exists()
+
+
+def test_limits_inversion_at_the_window_edge(tmp_path):
+    out = tmp_path / "limits.json"
+    assert run(["limits", "--gamma", "2", "--N-list", "50", "--inversion-t", "0", "15.5",
+                "-15.5", "--out", str(out)]) == 0
+    residuals = json.loads(out.read_text())["inversion_residuals"]
+    assert sorted(residuals) == ["-15.5", "0.0", "15.5"]
+    assert max(residuals.values()) < 1e-13
+
+
+def test_sample_kappa_far_grid_is_finite(tmp_path):
+    # H_k(t) / sqrt(k!) overflowed near |t| = 53 and wrote the row 0,60.0,nan
+    out = tmp_path / "kappa.csv"
+    assert run(["sample", "kappa", "--gamma", "2", "--grid", "-60:60:30", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    values = np.array([float(v) for _, _, v in rows])
+    assert values.size == 5 and np.isfinite(values).all() and values[2] != 0.0
+    assert values[0] == values[-1] == 0.0
+
+
+def test_one_parser_serves_every_call(tmp_path):
+    # the parser is built once per process and each parse stands alone: a
+    # --fixed-y run followed by a --gamma run writes what two fresh processes write
+    def argvs(d):
+        return [["limits", "--fixed-y", "0.4", "--grid", "-1:1:1", "--seed", "3",
+                 "--out", str(d / "fixed.json"), "--transform-out", str(d / "fixed.csv")],
+                ["limits", "--gamma", "2", "--N-list", "50", "--grid", "-1:1:1",
+                 "--out", str(d / "gamma.json")]]
+    one, fresh = tmp_path / "one", tmp_path / "fresh"
+    one.mkdir()
+    fresh.mkdir()
+    cli.build_parser.cache_clear()
+    assert [run(argv) for argv in argvs(one)] == [0, 0]
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    src = str(Path(cubefield.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for argv in argvs(fresh):
+        done = subprocess.run([sys.executable, "-m", "cubefield.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+    names = ["fixed.json", "fixed.csv", "gamma.json"]
+    assert [(one / n).read_bytes() for n in names] == [(fresh / n).read_bytes() for n in names]
+    assert "clt_gaps" not in json.loads((one / "fixed.json").read_text())
+
+
 def test_limits_loads_no_scipy(tmp_path):
     # a fresh interpreter: the whole limits report, inversion weights included,
     # runs on numpy alone (scipy.special's gammaln loaded 66 SciPy modules)

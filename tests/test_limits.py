@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from fractions import Fraction
 from math import comb, exp, pi, sqrt
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import assert_within_3se, covariance_se, exact_levelset_cov, mean_and_se
-from oracles import parseval_time_side
+from oracles import hermite_weighted_all, inversion_check_dense, parseval_time_side
 from cubefield import field as fld
 from cubefield import increments as inc
 from cubefield import limits as lm
@@ -202,7 +203,6 @@ def test_kappa_mc_covariance(rng):
         zetas = rng.standard_normal((chunk, spec.order + 1))
         a = np.empty((chunk, 2))
         for i, t in enumerate(spec.grid):
-            from cubefield.polynomials import hermite_weighted_all
             h = hermite_weighted_all(spec.order, t)
             a[:, i] = zetas @ (spec.half_moments * h) * exp(-0.5 * t * t) / sqrt(2 * pi)
         prods.append(a[:, 0] * a[:, 1])
@@ -227,6 +227,62 @@ def test_kappa_odd_even_split(rng):
     assert odd[0] == pytest.approx(-odd[1], abs=1e-12)
     assert even[0] == pytest.approx((total[0] + total[1]) / 2, abs=1e-12)
     assert odd[0] == pytest.approx((total[0] - total[1]) / 2, abs=1e-12)
+
+
+BENCHMARK_GRID = tuple(np.arange(-2.0, 2.0 + 1e-9, 0.25))
+
+
+@pytest.mark.parametrize("grid", [BENCHMARK_GRID, GRID, (0.5, -0.3), (0.3,), (0.0, 1.0)],
+                         ids=["benchmark", "GRID", "pair", "point", "zero-one"])
+@pytest.mark.parametrize("ylaw", [lm.VanishingKillingY(g) for g in (1.5, 2.0, 3.0, 4.0, 100.0)]
+                         + [lm.FixedCorrelation(y) for y in (0.0, 0.5, 0.9)],
+                         ids=lambda ylaw: ylaw.describe())
+def test_truncation_order_matches_the_unscaled_rule(ylaw, grid):
+    # the rule reads each row's variance increments relative to its variance,
+    # so reading the Hermite functions, e^(-t^2/4) times the reference
+    # H_k / sqrt(k!), leaves the order where the reference puts it
+    terms = ylaw.moment(np.arange(lm.TRUNCATION_CAP + 1)) \
+        * hermite_weighted_all(lm.TRUNCATION_CAP, grid) ** 2
+    order = lm.TRUNCATION_CAP
+    for end in range(lm.TRUNCATION_STEP, lm.TRUNCATION_CAP + 1, lm.TRUNCATION_STEP):
+        added = terms[:, end - lm.TRUNCATION_STEP + 1:end + 1].sum(axis=1)
+        if (added / terms[:, :end + 1].sum(axis=1)).max() < lm.TRUNCATION_REL_TOL:
+            order = end
+            break
+    assert lm.build_kappa_spec(ylaw, grid).order == order
+
+
+@pytest.mark.parametrize("ylaw", [lm.VanishingKillingY(2.0), lm.FixedCorrelation(0.5)],
+                         ids=lambda ylaw: ylaw.describe())
+def test_built_spec_runs_the_hermite_recurrence_once(monkeypatch, ylaw):
+    calls = []
+    recurrence = lm.hermite_functions
+    monkeypatch.setattr(lm, "hermite_functions",
+                        lambda *args: calls.append(args) or recurrence(*args))
+    spec = lm.build_kappa_spec(ylaw, BENCHMARK_GRID)
+    basis = spec.basis
+    assert len(calls) == 1
+    fresh = lm.KappaSpec(spec.ylaw, spec.grid, spec.order, spec.tail_bound).basis
+    assert len(calls) == 2
+    assert basis.shape == fresh.shape and basis.tobytes() == fresh.tobytes()
+
+
+def test_far_points_give_finite_values():
+    # H_k(t) / sqrt(k!) overflows near |t| = 53 and its square near 38; the
+    # Hermite functions carry e^(-t^2/4) from the start, so neither the series
+    # covariance, the basis nor the truncation rule meets an inf or a 0/0
+    ylaw = lm.VanishingKillingY(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = lm.kappa_cov(ylaw, 38.0, 38.0)
+        mixture = lm.kappa_cov(ylaw, 38.0, 38.0, method="mixture")
+        spec = lm.build_kappa_spec(ylaw, (38.0,))
+        far = lm.build_kappa_spec(ylaw, (0.0, 60.0))
+        path = lm.kappa_sample(far, np.ones(far.order + 1))
+    assert 0.0 < series and abs(series - mixture) <= spec.tail_bound
+    assert np.isfinite(path).all() and path[0] > 0.0 and path[1] == 0.0
+    # a grid whose every row underflows takes the smallest order
+    assert lm.build_kappa_spec(ylaw, (60.0, -60.0)).order == lm.TRUNCATION_STEP
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +788,29 @@ def test_inversion_check_takes_every_t_at_once(rng):
     assert isinstance(many, np.ndarray) and many.shape == (len(ts),)
     assert np.array_equal(many, [lm.inversion_check(spec, zetas, t) for t in ts])
     assert lm.inversion_check(spec, zetas, []).shape == (0,)
+
+
+@pytest.mark.parametrize("ylaw", [lm.VanishingKillingY(g) for g in (0.5, 2.0, 10.0, 50.0)]
+                         + [lm.FixedCorrelation(0.9)], ids=lambda ylaw: ylaw.describe())
+def test_inversion_matches_the_dense_trapezoid(rng, ylaw):
+    # the rule at its alias-free size (186 nodes at order 512) against 4097
+    # nodes on the same interval, over the whole window
+    spec = lm.build_kappa_spec(ylaw, GRID)
+    ts = np.linspace(-lm._INVERSION_WINDOW, lm._INVERSION_WINDOW, 65)
+    for _ in range(3):
+        zetas = rng.standard_normal(spec.order + 1)
+        gap = lm.inversion_check(spec, zetas, ts) - inversion_check_dense(spec, zetas, ts)
+        assert np.abs(gap).max() <= 1e-13
+
+
+def test_inversion_window_edges(rng):
+    spec = lm.build_kappa_spec(lm.VanishingKillingY(2.0), GRID)
+    zetas = rng.standard_normal(spec.order + 1)
+    edge = lm._INVERSION_WINDOW
+    assert lm.inversion_check(spec, zetas, [edge, -edge]).max() < 1e-13
+    for t in (np.nextafter(edge, np.inf), np.nextafter(-edge, -np.inf)):
+        with pytest.raises(DomainError, match=r"\|t\| <= 16"):
+            lm.inversion_check(spec, zetas, [0.0, t])
 
 
 def test_parseval_pairs():

@@ -1,12 +1,13 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, exp, factorial
 
 import numpy as np
 import pytest
 
+from oracles import hermite_weighted_all
 from cubefield.errors import DomainError
 from cubefield.polynomials import (KrawtchoukBasis, binomial_pmf, hermite_all,
-                                   hermite_eval, hermite_weighted_all,
+                                   hermite_eval, hermite_functions,
                                    krawtchouk_eval, krawtchouk_row,
                                    krawtchouk_weighted_matrix)
 from cubefield.walsh import fwht, popcounts
@@ -107,8 +108,21 @@ def test_hermite_weighted_consistency():
     t = 1.3
     h = hermite_all(30, t)
     hw = hermite_weighted_all(30, t)
+    psi = hermite_functions(30, t)
     for k in range(31):
         assert np.isclose(hw[k], h[k] / np.sqrt(float(factorial(k))), rtol=1e-11)
+        assert np.isclose(psi[k], exp(-t * t / 4) * hw[k], rtol=1e-13)
+
+
+def test_hermite_functions_stay_within_cramers_bound():
+    # H_k(t) / sqrt(k!) alone overflows near |t| = 53; the Hermite functions
+    # stay within 1.09 for every t, and their rows underflow to 0 past |t| ~ 55
+    t = np.array([-60.0, -38.0, 0.0, 0.5, 10.0, 38.0, 53.0, 60.0])
+    psi = hermite_functions(512, t)
+    assert psi.shape == (t.size, 513) and np.isfinite(psi).all()
+    assert np.abs(psi).max() <= 1.09
+    assert not psi[[0, -1]].any() and psi[1:-1].any(axis=1).all()
+    assert np.array_equal(psi[:, :100], hermite_functions(99, t))
 
 
 def test_float_row_matches_exact_table():

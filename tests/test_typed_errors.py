@@ -16,6 +16,7 @@ MIXTURE = inc.DeFinettiDiscrete((0.2, 0.7), (0.6, 0.4))
 VK = limits.VanishingKillingY(2.0)
 NOISE4 = field.SpectralNoise(4, np.arange(16.0))
 LEVELS6 = walk.GreenSpec(6, inc.SingleFlip(), 0.5)
+SPEC8 = limits.KappaSpec(VK, (0.0,), 8, 0.0)
 NON_SPIN_LAWS = [inc.SingleFlip(), inc.MFlip(2), inc.RandomSiteHalf(),
                  inc.MarkovEntries((0.5, 0.5), ((0.9, 0.1), (0.2, 0.8)))]
 
@@ -40,6 +41,9 @@ CASES = [
     ("kappa_cov t = nan", lambda: limits.kappa_cov(VK, nan, 0.0), DomainError),
     ("kappa_cov s = -inf mixture", lambda: limits.kappa_cov(VK, 0.0, -inf, method="mixture"),
      DomainError),
+    # a non-finite t was a silent NaN residual, and a t past the window aliases
+    *[(f"inversion_check t = {t}", lambda t=t: limits.inversion_check(SPEC8, np.ones(9), t),
+       DomainError) for t in (nan, inf, -100.0)],
     # a NaN transform point was a silent NaN (point mass) or a NumericError
     ("transform_cov FixedCorrelation theta = nan",
      lambda: limits.transform_cov(limits.FixedCorrelation(0.4), nan, 1.0), DomainError),
