@@ -260,28 +260,27 @@ def cmd_limits(args) -> int:
     else:
         raise DomainError("limits needs --gamma or --fixed-y")
     grid = _parse_grid(args.grid)
-    report = {"command": "limits", "seed": args.seed, "law": ylaw.describe()}
+    # the inversion check first, so a t outside its window fails before the
+    # CLT integrals; the spec and its weight tables are dropped before them
+    spec = limits.build_kappa_spec(ylaw, grid)
+    zetas = replicate_rng(args.seed, 0).standard_normal(spec.order + 1)
+    residuals = limits.inversion_check(spec, zetas, args.inversion_t)
+    report = {"command": "limits", "seed": args.seed, "law": ylaw.describe(),
+              "truncation_order": spec.order, "tail_bound": spec.tail_bound,
+              "inversion_residuals": {repr(float(t)): float(r)
+                                      for t, r in zip(args.inversion_t, residuals)}}
+    del spec
     if args.gamma is not None:
         gaps = limits.levelset_clt_check(args.gamma, args.N_list, grid)
         report["gamma"] = args.gamma
         report["clt_gaps"] = {str(n): gaps[n] for n in args.N_list}
-    spec = limits.build_kappa_spec(ylaw, grid)
-    rng = replicate_rng(args.seed, 0)
-    zetas = rng.standard_normal(spec.order + 1)
-    residuals = limits.inversion_check(spec, zetas, args.inversion_t)
-    inversion = {repr(float(t)): float(r) for t, r in zip(args.inversion_t, residuals)}
     lhs, rhs = limits.parseval_check(ylaw)
     tcov = np.array([limits.transform_cov(ylaw, float(th), float(th)) for th in grid],
                     dtype=float).reshape(grid.size, 3)
     if args.transform_out:
         _write_csv(args.transform_out, textout.columns(
             ("theta", "full", "U_part", "V_part"), grid, *tcov.T))
-    report.update({
-        "truncation_order": spec.order,
-        "tail_bound": spec.tail_bound,
-        "inversion_residuals": inversion,
-        "parseval": {"lhs": lhs, "rhs": rhs},
-    })
+    report["parseval"] = {"lhs": lhs, "rhs": rhs}
     _write_json(args.out, report)
     return 0
 

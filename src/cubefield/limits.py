@@ -302,18 +302,10 @@ class KappaSpec:
 
     @cached_property
     def basis(self) -> np.ndarray:
-        """(2 pi)^(-1/2) e^(-t^2/2) m_k H_k(t) / sqrt(k!): rows t in the grid,
-        columns k = 0..order, so kappa over the grid is basis @ zeta.
+        """_basis_at on the grid, so kappa over the grid is basis @ zeta.
         build_kappa_spec fills it from the Hermite table of its truncation
         rule, so a built spec runs the recurrence once."""
-        return self._basis_of(hermite_functions(self.order, self.grid))
-
-    def _basis_of(self, psi: np.ndarray) -> np.ndarray:
-        """basis from the Hermite functions psi_k(t) = e^(-t^2/4) H_k(t) / sqrt(k!)
-        on the grid: the other e^(-t^2/4) goes on last, so no factor overflows."""
-        t = np.array(self.grid)
-        envelope = np.exp(-0.25 * t * t) / sqrt(2.0 * pi)
-        return envelope[:, None] * self.half_moments * psi
+        return _basis_at(self, self.grid)
 
     @cached_property
     def inversion_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -353,8 +345,20 @@ def build_kappa_spec(ylaw: CorrelationMixture, grid) -> KappaSpec:
     spec = KappaSpec(ylaw, grid, order, _series_tail_bound(ylaw, order))
     # a column k of the table depends on columns k - 1 and k - 2 only, so its
     # first order + 1 columns are the bits the basis' own recurrence would give
-    vars(spec)["basis"] = spec._basis_of(psi[:, :order + 1])
+    vars(spec)["basis"] = _basis_at(spec, grid, psi[:, :order + 1])
     return spec
+
+
+def _basis_at(spec: KappaSpec, t, psi: np.ndarray | None = None) -> np.ndarray:
+    """(2 pi)^(-1/2) e^(-t^2/2) m_k H_k(t) / sqrt(k!) with the spec's m_k: rows
+    t, columns k = 0..order.  psi, when given, holds the Hermite functions
+    e^(-t^2/4) H_k(t) / sqrt(k!) at these t; the other e^(-t^2/4) goes on
+    last, so no factor overflows."""
+    t = np.array(t, dtype=float)
+    if psi is None:
+        psi = hermite_functions(spec.order, t)
+    envelope = np.exp(-0.25 * t * t) / sqrt(2.0 * pi)
+    return envelope[:, None] * spec.half_moments * psi
 
 
 def _series_moments(ylaw, order: int) -> np.ndarray:
@@ -618,7 +622,7 @@ def inversion_check(spec: KappaSpec, zetas: np.ndarray, t) -> float | np.ndarray
     U, V = W_even @ zetas[0::2], W_odd @ zetas[1::2]
     phase = np.multiply.outer(grid, thetas)
     integral = np.trapezoid(np.cos(phase) * U + np.sin(phase) * V, thetas) / pi
-    basis = KappaSpec(spec.ylaw, tuple(grid.tolist()), spec.order, spec.tail_bound).basis
+    basis = _basis_at(spec, grid)
     # row sums rather than a BLAS product, so each residual is the same float
     # whichever other t share the call
     residuals = np.abs(integral - (basis * zetas).sum(axis=1))

@@ -145,10 +145,10 @@ def joint_sign_laplace(law: YLaw, theta: float, sign: int) -> float:
     and E[sign(Y_phi) |Y_phi|^theta], the resolvents of int |xi|^theta nu and
     int sign(xi) |xi|^theta nu.
 
-    Their deficits d_abs and d_signed differ by 2 nu_-, nu_- the |xi|^theta
-    mass on [-1, 0], so the minus sign is taken without subtracting two close
-    resolvents: h_abs - h_signed = h_abs (1 - (1 + 2c nu_- / (1 + c d_abs))^(-phi)),
-    through expm1 and log1p.
+    Their deficits are d_abs and d_signed = d_abs + 2 nu_-, nu_- the |xi|^theta
+    mass on [-1, 0], so a tiny nu_- is kept, and the minus sign is taken without
+    subtracting two close resolvents: h_abs - h_signed =
+    h_abs (1 - (1 + 2c nu_- / (1 + c d_abs))^(-phi)), through expm1 and log1p.
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
@@ -156,7 +156,7 @@ def joint_sign_laplace(law: YLaw, theta: float, sign: int) -> float:
     d_abs = 1.0 - nu_neg - nu_pos
     h_abs = _resolvent(law, d_abs)
     if sign == 1:
-        return 0.5 * (h_abs + _resolvent(law, 1.0 - (nu_pos - nu_neg)))
+        return 0.5 * (h_abs + _resolvent(law, d_abs + 2.0 * nu_neg))
     ratio = 2.0 * law.c * nu_neg / (1.0 + law.c * d_abs)
     return 0.5 * h_abs * -expm1(-law.phi * log1p(ratio))
 
@@ -167,11 +167,15 @@ def sign_probability(law: YLaw, sign: int) -> float:
         (1/2) (1 +- (1 + 2c nu_-)^(-phi)),
 
     the resolvent of int sign(xi) nu = 1 - 2 nu_-, nu_- the spin mass on
-    [-1, 0].  A spin atom at 0 puts mass on Y = 0 and raises DomainError.
+    [-1, 0]; the minus sign goes through expm1 and log1p, so a tiny nu_- keeps
+    its digits.  A spin atom at 0 puts mass on Y = 0 and raises DomainError.
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
-    return 0.5 * (1.0 + sign * _resolvent(law, 2.0 * _abs_moment_split(law, 0.0)[0]))
+    nu_neg = _abs_moment_split(law, 0.0)[0]
+    if sign == 1:
+        return 0.5 * (1.0 + _resolvent(law, 2.0 * nu_neg))
+    return 0.5 * -expm1(-law.phi * log1p(2.0 * law.c * nu_neg))
 
 
 def _abs_moment_split(law: YLaw, theta: float) -> tuple[float, float]:

@@ -29,7 +29,7 @@ from . import increments
 from .errors import DomainError, NumericError, ResourceLimitError
 from .increments import IncrementModel, check_enumerable, increment_pmf, killing_gap, rho_by_size
 from .polynomials import binomial_pmf, krawtchouk_matrix
-from .walsh import _fwht_inplace, popcounts, signed_sum
+from .walsh import _fwht_inplace, popcounts
 
 ORACLE_N_LIMIT = 12
 
@@ -125,7 +125,7 @@ def t_step_prob(model, N: int, t: int, x: int, y: int) -> float:
         return float(_distance_kernel(N, rho_by_size(model, N) ** t)[(x ^ y).bit_count()])
     rho = increments.rho_all_subsets(model, N)
     rho **= t
-    return signed_sum(rho, x ^ y) / (1 << N)
+    return float(_xor_transform(rho)[x ^ y])
 
 
 def green_spectral(spec: GreenSpec, x: int, y: int) -> float:
@@ -136,21 +136,26 @@ def green_spectral(spec: GreenSpec, x: int, y: int) -> float:
         sum_k (1 + c(1-rho_k))^-1 Binom(N,1/2)(k) Q_k(d),  d = ||x XOR y||,
 
     written as an expectation over Binomial(N,1/2) so no term exceeds the
-    binomial mass (stable for any N).
+    binomial mass (stable for any N).  Other models read one entry of
+    green_xor_table, a 2^N transform per value.
     """
     check_vertex(x, spec.N)
     check_vertex(y, spec.N)
     if spec.model.is_exchangeable:
         return float(spec.by_distance[(x ^ y).bit_count()])
-    return signed_sum(spec.subset_table(), x ^ y) / (1 << spec.N)
+    return float(green_xor_table(spec)[x ^ y])
 
 
 def green_xor_table(spec: GreenSpec) -> np.ndarray:
     """(1-alpha) G(x, y) for every displacement d = x XOR y, via one fast transform."""
-    table = spec.subset_table()
-    _fwht_inplace(table)
-    table /= 1 << spec.N
-    return table
+    return _xor_transform(spec.subset_table())
+
+
+def _xor_transform(coeffs: np.ndarray) -> np.ndarray:
+    """2^-N sum_A coeffs[A] (-1)^popcount(A & d) for every d, in the coefficient array."""
+    _fwht_inplace(coeffs)
+    coeffs /= coeffs.size
+    return coeffs
 
 
 def green_matrix_spectral(spec: GreenSpec) -> np.ndarray:

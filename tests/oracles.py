@@ -18,7 +18,8 @@ from scipy.special import gammaln
 from cubefield import increments
 from cubefield.errors import DomainError
 from cubefield.field import SpectralNoise, spin_sum_all_vertices
-from cubefield.limits import KappaSpec, VanishingKillingY, kappa_cov, transform_weight_matrices
+from cubefield.limits import (KappaSpec, VanishingKillingY, _basis_at, kappa_cov,
+                              transform_weight_matrices)
 from cubefield.pointproc import YLaw, killed_measure_moments
 from cubefield.walk import GreenSpec, green_spectral, transition_matrix
 
@@ -142,5 +143,5 @@ def inversion_check_dense(spec: KappaSpec, zetas, t) -> np.ndarray:
     U, V = W_even @ zetas[0::2], W_odd @ zetas[1::2]
     phase = np.multiply.outer(grid, thetas)
     integral = np.trapezoid(np.cos(phase) * U + np.sin(phase) * V, thetas) / pi
-    basis = KappaSpec(spec.ylaw, tuple(grid.tolist()), spec.order, spec.tail_bound).basis
+    basis = _basis_at(spec, grid)
     return np.abs(integral - (basis * zetas).sum(axis=1))

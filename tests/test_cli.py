@@ -269,10 +269,26 @@ def test_ylaw_report(tmp_path):
     assert report["sign_positive"] == pytest.approx(0.75, abs=1e-12)
 
 
+def test_ylaw_histogram_bins_every_draw(tmp_path):
+    out, hist = tmp_path / "moments.csv", tmp_path / "histogram.csv"
+    code = run(["ylaw", "--model", "symmetric-beta-spin", "--a", "2.0", "--b", "1.0",
+                "--alpha", "0.5", "--mc-draws", "5000", "--seed", "2",
+                "--out", str(out), "--histogram-out", str(hist)])
+    assert code == 0
+    header, rows = read_csv(hist)
+    assert header == ["bin_low", "bin_high", "count"]
+    assert len(rows) == 40
+    edges = np.array([[float(lo), float(hi)] for lo, hi, _ in rows])
+    assert edges[0, 0] == -1.0 and edges[-1, 1] == 1.0
+    assert np.array_equal(edges[1:, 0], edges[:-1, 1])
+    assert sum(int(count) for _, _, count in rows) == 5000
+
+
 @pytest.mark.parametrize("flag, value", [("--mc-draws", "1"), ("--mc-draws", "0"),
-                                         ("--kmax", "-1")])
+                                         ("--kmax", "-1"), ("--alpha", "1.5")])
 def test_ylaw_argument_ranges_are_usage_errors(tmp_path, capsys, flag, value):
-    # one draw has no standard error; a negative kmax asks for no moment
+    # one draw has no standard error; a negative kmax asks for no moment; a
+    # killing rate lies in (0, 1)
     out = tmp_path / "moments.csv"
     argv = ["ylaw", "--model", "iid-bernoulli", "--p", "0.3", "--alpha", "0.5",
             "--mc-draws", "100", "--out", str(out), flag, value]
@@ -371,13 +387,22 @@ def test_limits_takes_one_law(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_limits_inversion_t_past_the_window_exits_3(tmp_path, capsys):
+def test_limits_inversion_t_past_the_window_exits_3(tmp_path, capsys, monkeypatch):
+    # the window is checked before the CLT integrals, 0.26-0.51 s on this grid
+    clt_calls = []
+
+    def clt_check(gamma, dims, grid):
+        clt_calls.append(dims)
+        return dict.fromkeys(dims, 0.0)
+
+    monkeypatch.setattr(cli.limits, "levelset_clt_check", clt_check)
     out, tcov = tmp_path / "limits.json", tmp_path / "transform.csv"
-    code = run(["limits", "--gamma", "2", "--N-list", "50", "--inversion-t", "0", "100",
+    code = run(["limits", "--gamma", "2", "--grid", "-3:3:0.05", "--inversion-t", "0", "100",
                 "--out", str(out), "--transform-out", str(tcov)])
     assert code == 3
     assert "|t| <= 16" in capsys.readouterr().err
-    assert not out.exists() and not tcov.exists()
+    assert clt_calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_limits_inversion_at_the_window_edge(tmp_path):

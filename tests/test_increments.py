@@ -256,6 +256,18 @@ def test_b_identity_for_finite_models():
             assert isclose(inc.b_subset(model, subset, 4, alpha), expected, abs_tol=1e-14)
 
 
+def test_b_k_of_a_finite_law_is_the_gap_of_a_size_k_subset():
+    alpha = 0.4
+    c = alpha / (1 - alpha)
+    N = 6
+    for model in [m for m in ENUMERABLE if m.is_exchangeable] + [inc.DeFinettiBeta(2.0, 3.0)]:
+        for k in range(N + 1):
+            value = inc.b_k(model, k, N, alpha)
+            assert value == c * (1 - inc.rho_k(model, k, N))
+            assert value == pytest.approx(inc.b_subset(model, (1 << k) - 1, N, alpha),
+                                          rel=1e-14, abs=1e-15)
+
+
 def test_b_empty_subset_is_zero():
     assert inc.b_subset(inc.SingleFlip(), 0, 4, 0.7) == 0.0
     assert inc.b_subset(inc.LimitLinear(2.0), 0, None, None) == 0.0

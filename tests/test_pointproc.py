@@ -245,6 +245,31 @@ def test_sign_probability_rejects_zero_atom():
             pp.sign_probability(law, sign)
 
 
+SKEWED = inc.DeFinettiBeta(0.05, 50)  # spin mass 2.1e-18 on [-1, 0]
+
+
+def _skewed_sign_split(alpha):
+    """P(Y < 0) and P(Y > 0) for SKEWED at the float alpha, to 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        nu_neg = mpmath.betainc(mpmath.mpf(SKEWED.b), mpmath.mpf(SKEWED.a), 0, mpmath.mpf(0.5),
+                                regularized=True)
+        c = mpmath.mpf(alpha) / (1 - mpmath.mpf(alpha))
+        h = 1 / (1 + 2 * c * nu_neg)
+        return float((1 - h) / 2), float((1 + h) / 2)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.999, 1 - 1e-9])
+def test_sign_split_keeps_a_tiny_negative_mass(alpha):
+    # 1 - (1 + 2c nu_-)^-1 and 1 - (nu_+ - nu_-) would round nu_- away
+    negative, positive = _skewed_sign_split(alpha)
+    law = pp.YLaw.from_model(SKEWED, alpha)
+    assert pp.sign_probability(law, -1) == pytest.approx(negative, rel=1e-13, abs=0.0)
+    assert pp.joint_sign_laplace(law, 0.0, -1) == pytest.approx(negative, rel=1e-13, abs=0.0)
+    assert pp.sign_probability(law, +1) == pytest.approx(positive, rel=1e-15, abs=0.0)
+    assert pp.joint_sign_laplace(law, 0.0, +1) == pytest.approx(positive, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("model, phi, alpha", [
     (DISCRETE, 0.5, 0.6), (SYMMETRIC, 2.5, 0.5), (inc.DeFinettiBeta(1.5, 2.5), 0.3, 0.7)])
 def test_transforms_honour_phi(rng, model, phi, alpha):

@@ -1,6 +1,8 @@
 """Arguments outside a function's domain raise one of the package's three
 error types, at the call that receives them, and no raw numpy or Python error."""
 
+import argparse
+import os
 from math import inf, nan
 
 import numpy as np
@@ -124,6 +126,99 @@ CASES = [
     ("model_from_dict transition row ['q']",
      lambda: inc.model_from_dict({"model": "markov-entries", "initial": [0.5, 0.5],
                                   "transition": [[0.9, "q"], [0.2, 0.8]]}), DomainError),
+]
+# guards that no other test reaches
+POINTS2 = field.FieldSample(2, np.zeros(2), points=(0, 1))
+CASES += [
+    # law constructors
+    ("IIDBernoulli(1.5)", lambda: inc.IIDBernoulli(1.5), DomainError),
+    ("DeFinettiDiscrete lengths differ", lambda: inc.DeFinettiDiscrete((0.2, 0.7), (1.0,)),
+     DomainError),
+    ("DeFinettiDiscrete atom 1.5", lambda: inc.DeFinettiDiscrete((1.5,), (1.0,)), DomainError),
+    ("DeFinettiDiscrete weights sum 0.5", lambda: inc.DeFinettiDiscrete((0.2,), (0.5,)),
+     DomainError),
+    ("MFlip(0)", lambda: inc.MFlip(0), DomainError),
+    ("MarkovEntries initial (0.5, 0.6)",
+     lambda: inc.MarkovEntries((0.5, 0.6), ((0.9, 0.1), (0.2, 0.8))), DomainError),
+    ("MarkovEntries row (0.9, 0.2)",
+     lambda: inc.MarkovEntries((0.5, 0.5), ((0.9, 0.2), (0.2, 0.8))), DomainError),
+    # eigenvalues, gaps and enumerated laws
+    ("rho_k k = -1", lambda: inc.rho_k(IID, -1), DomainError),
+    ("rho_k SingleFlip without N", lambda: inc.rho_k(inc.SingleFlip(), 1), DomainError),
+    ("rho_k SingleFlip k > N", lambda: inc.rho_k(inc.SingleFlip(), 5, 4), DomainError),
+    ("rho_subset past N", lambda: inc.rho_subset(IID, 1 << 4, 4), DomainError),
+    ("b_subset SingleFlip without N", lambda: inc.b_subset(inc.SingleFlip(), 1, None, 0.5),
+     DomainError),
+    ("sample_Z N = 0", lambda: inc.sample_Z(IID, 0, np.random.default_rng(0)), DomainError),
+    ("increment_pmf N = 0", lambda: inc.increment_pmf(IID, 0), DomainError),
+    ("increment_pmf LimitLinear", lambda: inc.increment_pmf(inc.LimitLinear(2.0), 3),
+     DomainError),
+    ("abs_moment_split theta = 1 with a spin atom at 0",
+     lambda: inc.DeFinettiDiscrete((0.5,), (1.0,)).abs_moment_split(1.0), DomainError),
+    ("model_from_dict({})", lambda: inc.model_from_dict({}), DomainError),
+    ("model_to_dict(3)", lambda: inc.model_to_dict(3), DomainError),
+    # polynomial tables
+    ("KrawtchoukBasis(65)", lambda: polynomials.KrawtchoukBasis(65), DomainError),
+    ("KrawtchoukBasis.scaled k = N + 1", lambda: polynomials.KrawtchoukBasis(3).scaled(4, 0),
+     DomainError),
+    ("krawtchouk_row w = N + 1", lambda: polynomials.krawtchouk_row(3, 4), DomainError),
+    ("krawtchouk_matrix(0)", lambda: polynomials.krawtchouk_matrix(0), DomainError),
+    ("krawtchouk_weighted_matrix(0)", lambda: polynomials.krawtchouk_weighted_matrix(0),
+     DomainError),
+    ("hermite_functions degree -1", lambda: polynomials.hermite_functions(-1, 0.0), DomainError),
+    # walk kernels
+    ("transition_matrix N = 13", lambda: walk.transition_matrix(IID, 13), ResourceLimitError),
+    ("t_step_prob t = -1", lambda: walk.t_step_prob(IID, 3, -1, 0, 0), DomainError),
+    ("green_hamming v = N + 1", lambda: walk.green_hamming(LEVELS6, 0, 7), DomainError),
+    ("coupon_collector_prob t = 0", lambda: walk.coupon_collector_prob(0, 3), DomainError),
+    ("coupon_collector_prob N = 0", lambda: walk.coupon_collector_prob(1, 0), DomainError),
+    # field samplers and checks: noise of the wrong shape, samples of the wrong kind
+    ("SpectralNoise 15 values for N = 4", lambda: field.SpectralNoise(4, np.zeros(15)),
+     DomainError),
+    ("sample_field_spectral noise N = 4, spec N = 6",
+     lambda: field.sample_field_spectral(LEVELS6, NOISE4), DomainError),
+    ("sample_field_cholesky no points",
+     lambda: field.sample_field_cholesky(LEVELS6, [], np.random.default_rng(0)), DomainError),
+    ("spin_sum_all_vertices k = N + 1", lambda: field.spin_sum_all_vertices(5, NOISE4),
+     DomainError),
+    ("centered_field of points", lambda: field.centered_field(POINTS2), DomainError),
+    ("infinite_field_marginal SingleFlip",
+     lambda: field.infinite_field_marginal(inc.SingleFlip(), 0, 1, NOISE4, alpha=0.5),
+     DomainError),
+    ("infinite_field_marginal empty subset",
+     lambda: field.infinite_field_marginal(IID, 0, 0, NOISE4, alpha=0.5), DomainError),
+    ("gff_log_density_check N = 9",
+     lambda: field.gff_log_density_check(walk.GreenSpec(9, IID, 0.5), np.zeros(512)),
+     ResourceLimitError),
+    ("gff_log_density_check 5 values for N = 3",
+     lambda: field.gff_log_density_check(walk.GreenSpec(3, IID, 0.5), np.zeros(5)),
+     DomainError),
+    # level sets and the limit process
+    ("levelset_direct of points", lambda: limits.levelset_direct(POINTS2), DomainError),
+    ("levelset_representation 3 normals for N = 6",
+     lambda: limits.levelset_representation(LEVELS6, np.ones(3)), DomainError),
+    ("build_kappa_spec empty grid", lambda: limits.build_kappa_spec(VK, []), DomainError),
+    ("kappa_sample 3 normals at order 8", lambda: limits.kappa_sample(SPEC8, np.ones(3)),
+     DomainError),
+    ("kappa_cov method 'exact'", lambda: limits.kappa_cov(VK, 0.0, 0.0, method="exact"),
+     DomainError),
+    # the product law's closed forms
+    ("sign_probability sign = 0", lambda: pp.sign_probability(pp.YLaw(IID, 0.5), 0),
+     DomainError),
+    ("joint_sign_laplace sign = 0", lambda: pp.joint_sign_laplace(pp.YLaw(IID, 0.5), 1.0, 0),
+     DomainError),
+    ("laplace_neg_log_abs theta = -1",
+     lambda: pp.laplace_neg_log_abs(pp.YLaw(IID, 0.5), -1.0), DomainError),
+    ("killed_measure_moments phi = 1/2",
+     lambda: pp.killed_measure_moments(pp.YLaw(IID, 0.5, 0.5), 1, 3), DomainError),
+    ("killed_measure_moments ones > total",
+     lambda: pp.killed_measure_moments(pp.YLaw(IID, 0.5), 4, 3), DomainError),
+    # CLI parsing: a grid without three parts or with hi < lo, a config that is not JSON
+    ("grid 0:1", lambda: cli._parse_grid("0:1"), DomainError),
+    ("grid 1:0:0.5", lambda: cli._parse_grid("1:0:0.5"), DomainError),
+    ("config that is not JSON",
+     lambda: cli._model_from_args(argparse.Namespace(config=os.devnull, model=None)),
+     DomainError),
 ]
 # a law that is not a de Finetti spin law is refused where the product law is built
 CASES += [(f"YLaw({type(m).__name__})", lambda m=m: pp.YLaw(m, 0.5), DomainError)

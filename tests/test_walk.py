@@ -323,6 +323,8 @@ def test_markov_full_cube_peaks_are_one_table():
         "rho_all_subsets": lambda: inc.rho_all_subsets(MARKOV_BENCH, N),
         "subset_table": spec.subset_table,
         "green_xor_table": lambda: walk.green_xor_table(spec),
+        "green_spectral": lambda: walk.green_spectral(spec, 3, (1 << N) - 1),
+        "t_step_prob": lambda: walk.t_step_prob(MARKOV_BENCH, N, 7, 3, (1 << N) - 1),
         "sample_field_spectral": lambda: fld.sample_field_spectral(spec, noise),
     }
     for name, route in routes.items():
@@ -335,12 +337,15 @@ def test_markov_full_cube_peaks_are_one_table():
         assert peak <= 9 << 20, (name, peak)
 
 
-@pytest.mark.parametrize("N", [8, 16])
-def test_markov_pointwise_fold_matches_xor_table(N):
+def test_markov_pointwise_values_match_dense_oracles():
+    # one entry of the transformed 2^N table against the dense resolvent and
+    # the dense matrix power, neither of which transforms anything
+    N = 8
     spec = walk.GreenSpec(N, MARKOV_BENCH, 0.8)
-    table = walk.green_xor_table(spec)
+    G = walk.green_matrix_oracle(spec)
+    P5 = np.linalg.matrix_power(walk.transition_matrix(MARKOV_BENCH, N), 5)
     rng = np.random.default_rng(N)
     for x, y in [(0, 0), (0, (1 << N) - 1), (1, 2)] + [
             tuple(int(v) for v in rng.integers(1 << N, size=2)) for _ in range(20)]:
-        assert walk.green_spectral(spec, x, y) == pytest.approx(table[x ^ y], rel=1e-12)
-
+        assert walk.green_spectral(spec, x, y) == pytest.approx(G[x, y], rel=1e-12)
+        assert walk.t_step_prob(MARKOV_BENCH, N, 5, x, y) == pytest.approx(P5[x, y], rel=1e-12)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import subset_signs
 from cubefield.errors import DomainError
-from cubefield.walsh import bit_positions, fwht, iter_submasks, popcounts, signed_sum
+from cubefield.walsh import bit_positions, fwht, iter_submasks, popcounts
 
 
 def stacked_fwht(values):
@@ -175,11 +175,3 @@ def test_iter_submasks_enumerates_powerset():
 def test_bit_positions():
     assert bit_positions(0) == []
     assert bit_positions(0b10110) == [1, 2, 4]
-
-
-@pytest.mark.parametrize("n", [0, 1, 3, 10])
-def test_signed_sum_folds_the_sign_vector(rng, n):
-    values = rng.standard_normal(1 << n)
-    for mask in {0, (1 << n) - 1, int(rng.integers(1 << n))}:
-        expected = float(np.dot(values, subset_signs(mask, n)))
-        assert signed_sum(values.copy(), mask) == pytest.approx(expected, rel=1e-12, abs=1e-12)
