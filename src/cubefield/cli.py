@@ -24,6 +24,9 @@ NUMERIC_EXIT = 3
 # past this many points a grid is refused before it is built: build_kappa_spec
 # forms (points, TRUNCATION_CAP + 1) float64 tables, 41 MB each at the cap
 GRID_POINT_LIMIT = 10_000
+# past this N `sample field --verify` is refused before it allocates: its 2^N x 2^N
+# tables and 4^N report entries took 89 MiB at N = 8, about four times more per step
+VERIFY_N_LIMIT = 10
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
@@ -150,6 +153,8 @@ def cmd_sample_field(args) -> int:
         print("error: --verify writes a JSON report; --format csv is for a plain draw",
               file=sys.stderr)
         return USAGE_EXIT
+    if args.verify and args.N > VERIFY_N_LIMIT:
+        raise ResourceLimitError(f"--verify is capped at N={VERIFY_N_LIMIT}, got {args.N}")
     model = _model_from_args(args)
     spec = walk.GreenSpec(args.N, model, args.alpha)
     n = 1 << args.N

@@ -11,11 +11,11 @@ describe N -> infinity regimes and carry only b_A.
 
 Each law is a small frozen dataclass carrying its own rho, law, samplers
 (one step, and the XOR of T steps) and gap; the de Finetti laws are also
-their own spin measure.  Every 2^N table of an exchangeable law is one
-popcount gather of an (N+1)-vector; only MarkovEntries builds its own.
-Every operation is pure given an explicit numpy
-Generator, so instances are safe to share across threads.  The Beta laws
-import SciPy where they use it: `import cubefield` loads none of it.
+their own spin measure.  The 2^N eigenvalue and law tables are built
+over a split of the subset bits (walsh._split_table).  Every operation is
+pure given an explicit numpy Generator, so instances are safe to share
+across threads.  The Beta laws import SciPy where they use it: `import
+cubefield` loads none of it.
 """
 
 from dataclasses import dataclass, fields
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 from .polynomials import krawtchouk_eval
 from .quadrature import quad
-from .walsh import popcounts
+from .walsh import _size_rows, _split_bits, _split_table
 
 # the largest N whose 2^N subsets are enumerated: one float64 table is 128 MiB
 SPECTRAL_ENUMERATION_N_LIMIT = 24
@@ -39,8 +39,6 @@ _Y_SETTLED = 2.0 ** -54
 _FIRST_CHUNK, _LAST_CHUNK = 64, 4096
 # spins, or atom-count cells, per call to the generator in a batch of products
 _SPIN_CHUNK = 1 << 18
-# columns per Markov doubling step: two planes of 2^15 float64 are 512 KiB
-_MARKOV_CHUNK = 1 << 15
 # entries of one cached moment table (_table_length): 128 MiB of float64
 _MOMENT_TABLE_CAP = 1 << 24
 
@@ -107,10 +105,14 @@ class IncrementModel:
         return rho_k(self, int(subset).bit_count(), N)
 
     def rho_all_subsets(self, N: int) -> np.ndarray:
-        return rho_by_size(self, N)[popcounts(N)]
+        return _split_table(N, self._rho_rows(N))
+
+    def _rho_rows(self, N: int):
+        """fill for walsh._split_table of the eigenvalue table."""
+        return _size_rows(rho_by_size(self, N), N)
 
     def pmf(self, N: int) -> np.ndarray:
-        return self.pmf_by_size(N)[popcounts(N)]
+        return _split_table(N, _size_rows(self.pmf_by_size(N), N))
 
     def gap(self, k: int, N: int | None, alpha: float | None) -> float:
         """b_k = c (1 - rho_k) for a subset of size k."""
@@ -557,66 +559,38 @@ class MarkovEntries(IncrementModel):
                 v = v * (1.0, -1.0)
         return float(v.sum())
 
-    def rho_all_subsets(self, N):
-        """rho_A for every subset, by a doubling pass inside the 2^N result.
-
-        The result, viewed as two planes of 2^(N-1) columns, holds the mass
-        vector over {0,1} of each subset of positions 1..N-1: plane j is the
-        mass on state j.  Round r steps the 2^r subsets of positions 1..r to
-        position r+1 and copies them, negating plane 1, into the next 2^r
-        columns (position r+1 in the subset).  The last round sums the two
-        planes straight into the result: v0 + v1 without position N, v0 - v1
-        with it.  Each round steps its columns in chunks through one
-        512 KiB buffer with `matmul`, whose rounding an elementwise 2x2 step
-        does not reproduce, so the peak is the result plus that buffer.
-        """
-        if N == 0:
-            return np.ones(1)
-        if N == 1:
-            i0, i1 = self.initial
-            return np.array([i0 + i1, i0 - i1])
-        Tt = np.ascontiguousarray(np.array(self.transition).T)
-        out = np.empty(1 << N)
-        half = 1 << (N - 1)
-        planes = out.reshape(2, half)
-        planes[:, 0] = self.initial
-        planes[0, 1] = self.initial[0]
-        planes[1, 1] = -self.initial[1]
-        step = np.empty((2, min(half, _MARKOV_CHUNK)))
-        for r in range(1, N):
-            done = 1 << r
-            for lo in range(0, done, _MARKOV_CHUNK):
-                hi = min(lo + _MARKOV_CHUNK, done)
-                t = step[:, :hi - lo]
-                np.matmul(Tt, planes[:, lo:hi], out=t)
-                if done < half:
-                    planes[:, lo:hi] = t
-                    planes[0, done + lo:done + hi] = t[0]
-                    np.negative(t[1], out=planes[1, done + lo:done + hi])
-                else:  # last round: v0 + v1 and v0 - v1 over the stepped columns
-                    np.add(t[0], t[1], out=planes[0, lo:hi])
-                    np.subtract(t[0], t[1], out=planes[1, lo:hi])
-        return out
+    def _rho_rows(self, N):
+        """fill for walsh._split_table of rho_A = pi^T D_1 T D_2 ... T D_N 1, D_p =
+        diag(1, -1) for p in A, else I.  Over A = (h, l) that is a_l . b_h, with
+        a_l = pi^T D_1 T ... D_L and b_h = T D_{L+1} ... T D_N 1 built by doubling:
+        a block of rows is one (rows, 2) @ (2, 2^L) product."""
+        high, low = _split_bits(N)
+        T, sign = np.array(self.transition), np.array([1.0, -1.0])
+        a = np.array([self.initial])  # at N = 0 the table is pi^T 1
+        for p in range(low):  # positions 1..L, each the new top bit of l
+            a = a @ T if p else a
+            a = np.concatenate([a, a * sign])
+        b = np.ones((1, 2))
+        for _ in range(high):  # positions N down to L + 1: each the new bit 0 of h
+            b = np.stack([b, b * sign], axis=1).reshape(-1, 2) @ T.T
+        a = np.ascontiguousarray(a.T)
+        return lambda block, rows: np.matmul(b[rows], a, out=block)
 
     def pmf(self, N):
-        """pmf over prefixes, doubling one position per round inside the 2^N result.
-
-        After round r, out[:2^r] holds the law of positions 1..r, bit p-1 =
-        position p; the prefixes ending in state s are the half with bit
-        r-1 equal to s.  The round writes their extensions by state 1 to
-        out[2^r:2^(r+1)] and scales them in place by T[s][0], so the peak is
-        the result itself.
-        """
-        (t00, t01), (t10, t11) = self.transition
-        out = np.empty(1 << N)
-        out[:2] = self.initial
-        for r in range(1, N):
-            done, half = 1 << r, 1 << (r - 1)
-            np.multiply(out[:half], t01, out=out[done:done + half])
-            np.multiply(out[half:done], t11, out=out[done + half:2 * done])
-            out[:half] *= t00
-            out[half:done] *= t10
-        return out
+        """The law of Z over the split A = (h, l): P = a_l c(z_L, h), a_l the law of
+        positions 1..L and c(s, h) that of positions L+1..N after state s, both
+        built by doubling.  Row s of the (2, 2^L) factor holds a_l where z_L = s,
+        else 0, so a block of rows is one (rows, 2) @ (2, 2^L) product."""
+        high, low = _split_bits(N)
+        T = np.array(self.transition)
+        a = np.array(self.initial)
+        for _ in range(1, low):  # positions 2..L, each the new top bit of l
+            a = (a.reshape(2, -1) * T.T[:, :, None]).reshape(-1)
+        a = (np.eye(2)[:, :, None] * a.reshape(2, -1)).reshape(2, -1)
+        c = np.ones((1, 2))
+        for _ in range(high):  # positions N down to L + 1: each the new bit 0 of h
+            c = (c[:, :, None] * T.T).reshape(-1, 2)
+        return _split_table(N, lambda block, rows: np.matmul(c[rows], a, out=block))
 
     def sample_Z(self, N, rng):
         init, rows = self.initial, self.transition
@@ -787,12 +761,9 @@ def rho_subset(model, subset: int, N: int) -> float:
 def rho_all_subsets(model, N: int) -> np.ndarray:
     """rho_A for every subset bitmask of [N] as a 2^N vector.
 
-    Exchangeable laws reduce to a popcount lookup.  MarkovEntries runs a
-    doubling pass that appends one chain position per round; round r steps
-    2^r subsets, so the pass is O(2^N).  It works on two planes (the mass on
-    each state) inside the 2^N result and peaks at the result plus 512 KiB.
-    N is capped at SPECTRAL_ENUMERATION_N_LIMIT, checked before anything
-    is allocated.
+    Built one cache block at a time (MarkovEntries._rho_rows), it peaks at the
+    result plus O(2^(N/2)).  N is capped at SPECTRAL_ENUMERATION_N_LIMIT,
+    checked before anything is allocated.
     """
     if N < 0:
         raise DomainError(f"dimension must be >= 0, got {N}")

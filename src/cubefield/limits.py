@@ -51,7 +51,7 @@ from .polynomials import hermite_functions, krawtchouk_weighted_matrix
 from .increments import SingleFlip, _positive
 from .quadrature import quad
 from .walk import GreenSpec
-from .walsh import popcounts
+from .walsh import _split_bits, popcounts
 
 TRUNCATION_STEP = 8
 TRUNCATION_REL_TOL = 1e-10
@@ -223,11 +223,19 @@ def _exp_moment_args(lam, log_scale):
 
 
 def levelset_direct(sample: FieldSample) -> np.ndarray:
-    """theta_v = sum of field values over each Hamming sphere, v = 0..N."""
+    """theta_v = sum of field values over each Hamming sphere, v = 0..N.
+
+    With x = (h, l) split as walsh splits its tables, the sums over |h| = i,
+    |l| = j are onehot_H^T X onehot_L, X the values viewed as (2^H, 2^L), and
+    theta_v adds their anti-diagonal i + j = v.
+    """
     if not sample.is_full_cube():
         raise DomainError("level sets need a full-hypercube sample")
-    return np.bincount(popcounts(sample.N), weights=sample.values,
-                       minlength=sample.N + 1)
+    high, low = _split_bits(sample.N)
+    onehot_high, onehot_low = (np.eye(n + 1)[popcounts(n)] for n in (high, low))
+    by_sizes = onehot_high.T @ (sample.values.reshape(1 << high, 1 << low) @ onehot_low)
+    return np.bincount(np.add.outer(np.arange(high + 1), np.arange(low + 1)).ravel(),
+                       weights=by_sizes.ravel())
 
 
 def levelset_representation(spec: GreenSpec, zetas: np.ndarray) -> np.ndarray:

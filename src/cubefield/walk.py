@@ -29,7 +29,7 @@ from . import increments
 from .errors import DomainError, NumericError, ResourceLimitError
 from .increments import IncrementModel, check_enumerable, increment_pmf, killing_gap, rho_by_size
 from .polynomials import binomial_pmf, krawtchouk_matrix
-from .walsh import _fwht_inplace, popcounts
+from .walsh import _fwht_inplace, _size_rows, _split_table
 
 ORACLE_N_LIMIT = 12
 
@@ -86,16 +86,23 @@ class GreenSpec:
 
     def subset_table(self) -> np.ndarray:
         """(1 + c (1 - rho_A))^-1 for every subset bitmask A (2^N vector)."""
+        return _split_table(self.N, self._weight_rows())
+
+    def _weight_rows(self):
+        """fill for walsh._split_table of subset_table, capped at the enumeration
+        limit; MarkovEntries forms the weights in each block of its rho rows."""
         check_enumerable(self.N)
         if self.model.is_exchangeable:
-            return self.weights[popcounts(self.N)]
-        # 1 / (1 + c (1 - rho)) in the eigenvalue table's own array
-        table = increments.rho_all_subsets(self.model, self.N)
-        np.subtract(1.0, table, out=table)
-        table *= self.c
-        table += 1.0
-        np.divide(1.0, table, out=table)
-        return table
+            return _size_rows(self.weights, self.N)
+        rho_rows, c = self.model._rho_rows(self.N), self.c
+
+        def fill(block, rows):
+            rho_rows(block, rows)
+            np.subtract(1.0, block, out=block)
+            block *= c
+            block += 1.0
+            np.divide(1.0, block, out=block)
+        return fill
 
 
 def step(x: int, model, N: int, rng: np.random.Generator) -> int:
@@ -125,7 +132,8 @@ def t_step_prob(model, N: int, t: int, x: int, y: int) -> float:
         return float(_distance_kernel(N, rho_by_size(model, N) ** t)[(x ^ y).bit_count()])
     rho = increments.rho_all_subsets(model, N)
     rho **= t
-    return float(_xor_transform(rho)[x ^ y])
+    _fwht_inplace(rho)
+    return float(rho[x ^ y]) / rho.size
 
 
 def green_spectral(spec: GreenSpec, x: int, y: int) -> float:
@@ -147,19 +155,24 @@ def green_spectral(spec: GreenSpec, x: int, y: int) -> float:
 
 
 def green_xor_table(spec: GreenSpec) -> np.ndarray:
-    """(1-alpha) G(x, y) for every displacement d = x XOR y, via one fast transform."""
-    return _xor_transform(spec.subset_table())
+    """(1-alpha) G(x, y) for every displacement d = x XOR y, via one fast transform.
 
+    The weights are scaled by 2^-N in each block: a power of two, so that is
+    the scaled transform bit for bit."""
+    weight_rows, scale = spec._weight_rows(), 2.0 ** -spec.N
 
-def _xor_transform(coeffs: np.ndarray) -> np.ndarray:
-    """2^-N sum_A coeffs[A] (-1)^popcount(A & d) for every d, in the coefficient array."""
-    _fwht_inplace(coeffs)
-    coeffs /= coeffs.size
-    return coeffs
+    def fill(block, rows):
+        weight_rows(block, rows)
+        block *= scale
+    table = _split_table(spec.N, fill)
+    _fwht_inplace(table)
+    return table
 
 
 def green_matrix_spectral(spec: GreenSpec) -> np.ndarray:
-    """Full 2^N x 2^N table of (1-alpha) G via the spectral route."""
+    """Full 2^N x 2^N table of (1-alpha) G via the spectral route, capped at ORACLE_N_LIMIT."""
+    if spec.N > ORACLE_N_LIMIT:
+        raise ResourceLimitError(f"dense Green matrices are capped at N={ORACLE_N_LIMIT}")
     table = green_xor_table(spec)
     idx = np.arange(1 << spec.N)
     return table[np.bitwise_xor.outer(idx, idx)]

@@ -121,6 +121,34 @@ def _hadamard(k: int) -> np.ndarray:
     return h
 
 
+def _split_bits(n_bits: int) -> tuple[int, int]:
+    """(H, L): the high and the low index bits of a table, L = ceil(n_bits / 2)."""
+    return n_bits // 2, n_bits - n_bits // 2
+
+
+def _split_table(n_bits: int, fill) -> np.ndarray:
+    """A 2^n_bits float64 table, factored like the transform over a split of its bits.
+
+    Index (h << L) | l is row h, column l of the table viewed as (2^H, 2^L),
+    and fill(block, rows) writes the rows h in the slice `rows`, _BLOCK
+    entries (at least one row), then works on them while they are in cache.
+    """
+    high, low = _split_bits(n_bits)
+    table, step = np.empty((1 << high, 1 << low)), max(1, _BLOCK >> low)
+    for lo in range(0, 1 << high, step):
+        fill(table[lo:lo + step], slice(lo, lo + step))
+    return table.reshape(-1)
+
+
+def _size_rows(values: np.ndarray, n_bits: int):
+    """fill for _split_table of values[popcount(A)]: row h is row |h| of the
+    (H+1, 2^L) table values[i + |l|], so no 2^n_bits popcount array is built."""
+    high, low = _split_bits(n_bits)
+    by_size = values[np.arange(high + 1)[:, None] + popcounts(low)]
+    sizes = popcounts(high)
+    return lambda block, rows: np.take(by_size, sizes[rows], axis=0, out=block)
+
+
 def popcounts(n_bits: int) -> np.ndarray:
     """Popcount of every index in [0, 2^n_bits) as a uint8 array, one byte per index.
 

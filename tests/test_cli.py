@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,23 @@ def test_sample_field_verify_with_csv_format_is_usage_error(tmp_path, capsys):
                 "--replicates", "10", "--verify", "--format", "json",
                 "--out", str(tmp_path / "report.json")]) == 0
     assert json.loads((tmp_path / "report.json").read_text())["replicates"] == 10
+
+
+@pytest.mark.parametrize("N", [cli.VERIFY_N_LIMIT + 1, 20])
+def test_sample_field_verify_past_its_cap_exits_3_before_allocating(tmp_path, capsys, N):
+    # the 2^N x 2^N tables and 4^N report entries: never run the uncapped path past N = 9
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        code = run(["sample", "field", "--model", "single-flip", "--N", str(N), "--alpha", "0.5",
+                    "--verify", "--format", "json", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert f"capped at N={cli.VERIFY_N_LIMIT}" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("grid", ["0:1:nan", "nan:1:0.5", "0:inf:1", "0:1e7:1e-3"])

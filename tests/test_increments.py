@@ -106,23 +106,49 @@ def test_rho_all_subsets_consistency():
             assert isclose(table[subset], inc.rho_subset(model, subset, N), abs_tol=1e-13)
 
 
-def stacked_markov_rho(model, N):
-    """The doubling pass that stacks a fresh (2^r, 2) array every round."""
-    T = np.array(model.transition)
-    states = np.array([model.initial])
-    states = np.vstack([states, states * (1.0, -1.0)])
-    for _ in range(1, N):
-        stepped = states @ T
-        states = np.vstack([stepped, stepped * (1.0, -1.0)])
-    return states.sum(axis=1)
+def exact_markov_tables(model, N_max, law=False):
+    """(N, S, table) for N = 1..N_max: rho_A for every subset of [N], or with
+    `law` the probability of every Z, exactly, as integers over 2^S.  The float
+    inputs are dyadic rationals, so integers stand in for Fractions.  One
+    doubling per chain position, O(2^N_max) operations."""
+    inputs = [float(v) for v in (*model.initial, *model.transition[0], *model.transition[1])]
+    E = max(v.as_integer_ratio()[1].bit_length() - 1 for v in inputs)
+    p0, p1, t00, t01, t10, t11 = [n * (1 << E) // d for n, d in map(float.as_integer_ratio, inputs)]
+    if law:
+        table = [p0, p1]
+        yield 1, E, table
+        for N in range(2, N_max + 1):
+            lo, hi = table[:len(table) // 2], table[len(table) // 2:]
+            table = ([x * t00 for x in lo] + [x * t10 for x in hi]
+                     + [x * t01 for x in lo] + [x * t11 for x in hi])
+            yield N, E * N, table
+        return
+    states = [(p0, p1), (p0, -p1)]
+    yield 1, E, [a + b for a, b in states]
+    for N in range(2, N_max + 1):
+        stepped = [(a * t00 + b * t10, a * t01 + b * t11) for a, b in states]
+        states = stepped + [(a, -b) for a, b in stepped]
+        yield N, E * N, [a + b for a, b in states]
 
 
-def test_markov_rho_all_subsets_equals_stacked_pass():
+def assert_markov_table_exact(model, N_max=16, law=False):
+    # each factor carries at most about one rounding per position, and the
+    # rank-2 product one more: within N 2^-53 of the exact value, relative
+    # to it for the law (a product of N positive factors)
+    for N, S, exact in exact_markov_tables(model, N_max, law):
+        table = inc.increment_pmf(model, N) if law else inc.rho_all_subsets(model, N)
+        assert table.shape == (1 << N,) and table.flags.c_contiguous
+        for t, X in zip(table.tolist(), exact):
+            n, d = t.as_integer_ratio()
+            # |t - X / 2^S| <= N 2^-53 (|X| / 2^S for the law), times d 2^(S+53)
+            assert abs((n << S) - X * d) << 53 <= N * d * (X if law else 1 << S), (N, t)
+
+
+def test_markov_rho_all_subsets_is_exact_to_n_ulps():
     model = inc.MarkovEntries((0.3, 0.7), ((0.8, 0.2), (0.4, 0.6)))
+    assert_markov_table_exact(model)
     for N in range(1, 13):
         table = inc.rho_all_subsets(model, N)
-        assert table.shape == (1 << N,)
-        assert np.array_equal(table, stacked_markov_rho(model, N))
         for subset in range(1 << N):
             assert abs(table[subset] - inc.rho_subset(model, subset, N)) <= 1e-12
 
@@ -517,15 +543,18 @@ MARKOV_CHAINS = {
 
 
 @pytest.mark.parametrize("chain", MARKOV_CHAINS.values(), ids=MARKOV_CHAINS.keys())
-def test_markov_planar_pass_equals_stacked_pass(chain):
-    # the stacked pass starts from position 1, so it covers N >= 1; the empty
-    # subset alone (N = 0) has rho = 1
+def test_markov_rank2_table_is_exact_to_n_ulps(chain):
+    # the empty subset alone (N = 0) has rho = 1
     model = inc.MarkovEntries(*chain)
     assert np.array_equal(inc.rho_all_subsets(model, 0), [1.0])
-    for N in range(1, 17):
+    assert np.array_equal(model.rho_all_subsets(0), [1.0])
+    assert_markov_table_exact(model)
+    # several row blocks from N = 16 on: a seeded sample against the transfer pass
+    rng = np.random.default_rng(16)
+    for N in (16, 20):
         table = inc.rho_all_subsets(model, N)
-        assert table.shape == (1 << N,) and table.flags.c_contiguous
-        assert np.array_equal(table.view(np.uint64), stacked_markov_rho(model, N).view(np.uint64))
+        for subset in rng.integers(1 << N, size=200).tolist():
+            assert abs(table[subset] - inc.rho_subset(model, subset, N)) <= 2 * N * 2.0 ** -53
 
 
 @pytest.mark.parametrize("model", [inc.MarkovEntries(*MARKOV_CHAINS["benchmark"]),
@@ -553,11 +582,13 @@ def concatenated_markov_pmf(model, N):
 
 
 @pytest.mark.parametrize("chain", MARKOV_CHAINS.values(), ids=MARKOV_CHAINS.keys())
-def test_markov_pmf_in_place_equals_concatenated_pass(chain):
+def test_markov_pmf_is_exact_to_n_ulps(chain):
     model = inc.MarkovEntries(*chain)
-    for N in range(1, 21):
-        pmf = inc.increment_pmf(model, N)
-        assert np.array_equal(pmf.view(np.uint64), concatenated_markov_pmf(model, N).view(np.uint64))
+    assert_markov_table_exact(model, law=True)
+    # to N = 20 against the left-to-right products, each within N 2^-53 relative
+    for N in range(17, 21):
+        pmf, want = inc.increment_pmf(model, N), concatenated_markov_pmf(model, N)
+        assert np.all(np.abs(pmf - want) <= 2 * N * 2.0 ** -53 * want), N
 
 
 def test_markov_pmf_peak_is_its_result():

@@ -1,7 +1,7 @@
 import tracemalloc
 import warnings
 from fractions import Fraction
-from math import comb, exp, pi, sqrt
+from math import comb, exp, fsum, pi, sqrt
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from cubefield import limits as lm
 from cubefield import walk
 from cubefield.errors import DomainError, NumericError, ResourceLimitError
 from cubefield.quadrature import quad as gk21
+from cubefield.walsh import popcounts
 
 DEFINETTI = inc.DeFinettiDiscrete((0.2, 0.7), (0.6, 0.4))
 GRID = (-1.5, -0.75, 0.0, 0.75, 1.5)
@@ -32,6 +33,32 @@ def test_levelset_direct_n1(rng):
     theta = lm.levelset_direct(sample)
     assert theta[0] == sample.values[0]
     assert theta[1] == sample.values[1]
+
+
+def test_levelset_direct_is_the_sphere_sums():
+    # two matrix products of length 2^L and 2^H: within their rounding of fsum
+    rng = np.random.default_rng(5)
+    for N in range(1, 17):
+        values = rng.standard_normal(1 << N)
+        theta = lm.levelset_direct(fld.FieldSample(N, values))
+        sizes = popcounts(N)
+        for v in range(N + 1):
+            sphere = values[sizes == v]
+            bound = ((1 << (N - N // 2)) + (1 << (N // 2))) * 2.0 ** -53 * np.abs(sphere).sum()
+            assert abs(theta[v] - fsum(sphere)) <= bound, (N, v)
+
+
+def test_levelset_direct_peak_is_two_small_products():
+    # no 2^N index or weight array: the peak is the O(2^(N/2)) one-hot factors
+    spec = walk.GreenSpec(20, inc.IIDBernoulli(0.3), 0.5)
+    sample = fld.sample_field_spectral(spec, fld.SpectralNoise.draw(20, np.random.default_rng(0)))
+    tracemalloc.start()
+    try:
+        lm.levelset_direct(sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_levelset_cov_n1_closed_form():

@@ -3,6 +3,7 @@ error types, at the call that receives them, and no raw numpy or Python error.""
 
 import argparse
 import os
+import tracemalloc
 from math import inf, nan
 
 import numpy as np
@@ -168,6 +169,9 @@ CASES += [
     ("hermite_functions degree -1", lambda: polynomials.hermite_functions(-1, 0.0), DomainError),
     # walk kernels
     ("transition_matrix N = 13", lambda: walk.transition_matrix(IID, 13), ResourceLimitError),
+    # at N = 13 the XOR index and the matrix were 0.5 GiB each
+    ("green_matrix_spectral N = 13",
+     lambda: walk.green_matrix_spectral(walk.GreenSpec(13, IID, 0.5)), ResourceLimitError),
     ("t_step_prob t = -1", lambda: walk.t_step_prob(IID, 3, -1, 0, 0), DomainError),
     ("green_hamming v = N + 1", lambda: walk.green_hamming(LEVELS6, 0, 7), DomainError),
     ("coupon_collector_prob t = 0", lambda: walk.coupon_collector_prob(0, 3), DomainError),
@@ -248,3 +252,16 @@ def test_moment_table_cap_admits_the_sizes_in_use():
     assert inc._table_length((1 << 24) - 1) == 1 << 24
     with pytest.raises(ResourceLimitError):
         inc._table_length(1 << 24)
+
+
+@pytest.mark.parametrize("N", [13, 20, 24])
+def test_dense_green_matrix_cap_raises_before_allocating(N):
+    spec = walk.GreenSpec(N, IID, 0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            walk.green_matrix_spectral(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16

@@ -7,8 +7,9 @@ from conftest import assert_within_3se
 from oracles import green_matrix_full_solve
 from cubefield import field as fld
 from cubefield import increments as inc
-from cubefield import walk
+from cubefield import walk, walsh
 from cubefield.errors import DomainError, NumericError, ResourceLimitError
+from cubefield.walsh import popcounts
 
 MODELS = {
     "single-flip": inc.SingleFlip(),
@@ -300,6 +301,20 @@ def test_subset_table_peak_memory():
     assert peak <= table.nbytes + (1 << 20) + (1 << 19)
 
 
+@pytest.mark.parametrize("model", [inc.IIDBernoulli(0.3), inc.DeFinettiBeta(2.0, 3.0),
+                                   inc.SingleFlip()], ids=["iid", "beta", "single-flip"])
+def test_exchangeable_tables_are_the_popcount_gather(model):
+    # the split builder copies values[|h| + |l|]: bit for bit values[popcount(A)],
+    # with no high bits (N = 1), H < L (odd N), one block (N <= 15) and many
+    for N in range(1, 21):
+        spec = walk.GreenSpec(N, model, 0.8)
+        sizes = popcounts(N)
+        for table, values in ((spec.subset_table(), spec.weights),
+                              (inc.rho_all_subsets(model, N), inc.rho_by_size(model, N)),
+                              (inc.increment_pmf(model, N), model.pmf_by_size(N))):
+            assert np.array_equal(table.view(np.uint64), values[sizes].view(np.uint64)), N
+
+
 MARKOV_BENCH = inc.MarkovEntries((0.5, 0.5), ((0.8, 0.2), (0.3, 0.7)))
 
 
@@ -311,6 +326,26 @@ def test_markov_subset_table_is_the_weight_chain(alpha):
         rho = inc.rho_all_subsets(MARKOV_BENCH, N)
         expected = 1.0 / (1.0 + inc.killing_gap(spec.c, rho))
         assert np.array_equal(spec.subset_table().view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("model", [MARKOV_BENCH, inc.IIDBernoulli(0.3)], ids=["markov", "iid"])
+def test_row_blocks_match_the_whole_array_routes(model):
+    # from N = 16 a table spans several row blocks (four at N = 17), each filled
+    # with its weights, noise rows and power-of-two scale: the same bits as the
+    # whole-array expressions
+    for N in (16, 17):
+        spec = walk.GreenSpec(N, model, 0.9)
+        table = spec.subset_table()
+        if not model.is_exchangeable:
+            rho = inc.rho_all_subsets(model, N)
+            expected = 1.0 / (1.0 + inc.killing_gap(spec.c, rho))
+            assert np.array_equal(table.view(np.uint64), expected.view(np.uint64)), N
+        noise = fld.SpectralNoise.draw(N, np.random.default_rng(N))
+        values = fld.sample_field_spectral(spec, noise).values
+        expected = walsh.fwht(np.sqrt(table) * noise.values) * 2.0 ** (-N / 2)
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64)), N
+        expected = walsh.fwht(table) / 2.0 ** N
+        assert np.array_equal(walk.green_xor_table(spec).view(np.uint64), expected.view(np.uint64)), N
 
 
 def test_markov_full_cube_peaks_are_one_table():
