@@ -5,9 +5,9 @@ Summing the field over Hamming spheres gives a Gaussian vector theta_v with
     Cov(theta_u, theta_v) = binom(N,u) binom(N,v) 2^-N
                             [1 + sum_k E[Y^k] binom(N,k) Q_k(u) Q_k(v)].
 
-All of it reads one factor B, B_vk = binom(N,v) 2^(-N/2) E[Y^k]^(1/2)
-sqrt(binom(N,k)) Q_k(v): the covariance is B B^T, the representation from
-N+1 normals B zeta, and the CLT scaling reads rows of 2^(-N/2) B.
+The sum alternates in sign: the covariances and the CLT scaling read binom(N,u) R[u, v]
+instead, R the killed law of the Hamming level (walk.GreenSpec.level_resolvent), and the
+representation from N+1 normals reads krawtchouk_matrix.
 
 Scaled by (1/2) sqrt(N / 2^N) and indexed near N/2 + (sqrt(N)/2) t, the
 level sets converge to the stationary-grid process
@@ -47,10 +47,10 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .field import FieldSample
-from .polynomials import hermite_functions, krawtchouk_weighted_matrix
+from .polynomials import hermite_functions, krawtchouk_matrix
 from .increments import SingleFlip, _positive
 from .quadrature import quad
-from .walk import GreenSpec
+from .walk import GreenSpec, _level_columns, green_hamming
 from .walsh import _split_bits, popcounts
 
 TRUNCATION_STEP = 8
@@ -242,54 +242,37 @@ def levelset_representation(spec: GreenSpec, zetas: np.ndarray) -> np.ndarray:
     """Level sets from N+1 independent normals (exchangeable models):
 
         theta_v = binom(N,v) 2^(-N/2) [zeta_0 +
-                  sum_k (1+c(1-rho_k))^(-1/2) sqrt(binom(N,k)) Q_k(v) zeta_k].
+                  sum_k (1+c(1-rho_k))^(-1/2) sqrt(binom(N,k)) Q_k(v) zeta_k],
+
+    formed as binom(N,v) Q_k(v) times m_k sqrt(binom(N,k) 2^-N): no product overflows.
     """
     zetas = np.asarray(zetas, dtype=float)
     if zetas.shape != (spec.N + 1,):
         raise DomainError(f"need {spec.N + 1} normals, got shape {zetas.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
-        theta = _representation_matrix(spec) @ zetas
-    return _finite(theta, "level-set representation", spec.N)
-
-
-def _level_factor(spec: GreenSpec) -> np.ndarray:
-    """F = 2^(-N/2) B: row v, column k is binom(N,v) 2^-N m_k sqrt(binom(N,k))
-    Q_k(v), m_k = E[Y^k]^(1/2).  Its central rows stay in the float range
-    past N = 2046, where B's leave it."""
-    with np.errstate(over="ignore", invalid="ignore"):  # checked by the callers
-        return spec.binom_pmf[:, None] * spec.half_weights * krawtchouk_weighted_matrix(spec.N)
-
-
-def _representation_matrix(spec: GreenSpec) -> np.ndarray:
-    """B = 2^(N/2) F, exact at even N: theta = B zeta, Cov(theta) = B B^T."""
-    return _level_factor(spec) * np.exp2(spec.N / 2.0)
+    B = _binomials(spec)[:, None] * krawtchouk_matrix(spec.N)
+    B *= spec.half_weights * np.sqrt(spec.binom_pmf)
+    theta = B @ zetas
+    if not np.isfinite(theta).all():
+        raise NumericError(f"the level-set representation at N={spec.N} is past the float range")
+    return theta
 
 
 def levelset_cov(spec: GreenSpec, u: int, v: int) -> float:
-    """Cov(theta_u, theta_v) in closed form (exchangeable models): rows u, v of B."""
-    if not (0 <= u <= spec.N and 0 <= v <= spec.N):
-        raise DomainError(f"levels must lie in [0, {spec.N}], got {u}, {v}")
-    with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
-        B = _representation_matrix(spec)
-        return float(_finite(B[u] @ B[v], "level-set covariance", spec.N))
+    """Cov(theta_u, theta_v) = binom(N,u) green_hamming(spec, u, v), as in levelset_cov_matrix."""
+    return float(green_hamming(spec, u, v) * _binomials(spec)[u])
 
 
 def levelset_cov_matrix(spec: GreenSpec) -> np.ndarray:
-    """All level-set covariances at once, B B^T.
-
-    The spectral sum alternates in sign, so rows near the edges (u near 0 or
-    N) lose their digits past N ~ 50 (README, "Size caps"); past N ~ 1050
-    the result leaves the float range.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
-        B = _representation_matrix(spec)
-        return _finite(B @ B.T, "level-set covariance", spec.N)
+    """All level-set covariances, binom(N,u) R[u, v] with R = spec.level_resolvent
+    (exchangeable models): each entry is accurate relative to its own size."""
+    return _binomials(spec)[:, None] * spec.level_resolvent
 
 
-def _finite(values: np.ndarray, what: str, N: int) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
-        raise NumericError(f"the {what} at N={N} is past the float range")
-    return values
+def _binomials(spec: GreenSpec) -> np.ndarray:
+    """binom(N,k) = 2^N binom_pmf[k], exact; NumericError past N = 1029 (binom(N, N/2) > 2^1024)."""
+    if spec.N > 1029:
+        raise NumericError(f"binom({spec.N}, {spec.N // 2}) is past the float range")
+    return np.ldexp(spec.binom_pmf, spec.N)
 
 
 # ---------------------------------------------------------------------------
@@ -458,19 +441,15 @@ def scaled_levelset_cov(N: int, gamma: float, t, s) -> float | np.ndarray:
     simple walk with killing alpha_N = 1 - gamma/N, which needs N > gamma.
 
     Floats t and s give a float, 1-D sequences the matrix (rows t, columns
-    s) from F = 2^(-N/2) B.  Entries are row sums, not a BLAS product, so
-    each is the same float whichever other points share the call; they are
-    summed one row of t at a time, in O(len(s) N) memory."""
+    s): (N/4) binom_pmf[u] R[u, v], solving only the columns v of the level
+    chain's resolvent, each the same floats whichever others share the call."""
     if not 0.0 < gamma < N:
         raise DomainError(f"alpha_N = 1 - gamma/N is outside (0,1) at N = {N}, gamma = {gamma}")
     t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
     u, v = _levels(N, t), _levels(N, s)
-    F = _level_factor(GreenSpec(N, SingleFlip(), 1.0 - gamma / N))
-    cov = np.empty((u.size, v.size))
-    with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
-        for i, level in enumerate(u):
-            cov[i] = (F[level] * F[v]).sum(axis=-1)
-        cov = _finite(cov * (N / 4.0), "scaled level-set covariance", N)
+    spec = GreenSpec(N, SingleFlip(), 1.0 - gamma / N)
+    levels, inverse = np.unique(v, return_inverse=True)
+    cov = ((N / 4.0) * spec.binom_pmf[u])[:, None] * _level_columns(spec, levels)[u][:, inverse]
     return float(cov[0, 0]) if t.ndim == 0 and s.ndim == 0 else cov
 
 

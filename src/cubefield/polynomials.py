@@ -11,10 +11,9 @@ They are self-dual, Q_k(w) = Q_w(k), and satisfy the generating function
 
 which makes binom(N,k) Q_k(w) an integer.  The exact integer tables
 (``KrawtchoukBasis``, ``krawtchouk_eval`` up to ``EXACT_N_LIMIT``) are the
-references; floating-point consumers read (N+1) x (N+1) float64 matrices
-cached per N: ``krawtchouk_matrix`` (Q_k(w)) serves the Green functions,
-``krawtchouk_weighted_matrix`` (sqrt(binom(N,k)) Q_k(w), unstable in k at
-the edge arguments) only the level-set factor of ``limits``.
+references; floating-point consumers read ``krawtchouk_matrix`` (Q_k(w)),
+one (N+1) x (N+1) float64 matrix cached per N: the pointwise Green functions
+and the level-set representation.
 
 Hermite polynomials H_k here are the probabilists' family,
 H_{k+1}(t) = t H_k(t) - k H_{k-1}(t), generated by e^{wt - w^2/2}; the
@@ -145,33 +144,6 @@ def krawtchouk_matrix(N: int) -> np.ndarray:
     Q[half + 1:] = Q[N - half - 1::-1] * np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
     Q.flags.writeable = False
     return Q
-
-
-@lru_cache(maxsize=8)
-def krawtchouk_weighted_matrix(N: int) -> np.ndarray:
-    """sqrt(binom(N,k)) * Q_k(w; N, 1/2) with rows w = 0..N and columns k = 0..N
-    (read-only).
-
-    Uses the degree recurrence, for all arguments at once,
-
-        r_{k+1} = [(N - 2w) r_k - sqrt(k (N-k+1)) r_{k-1}] / sqrt((k+1)(N-k)),
-
-    whose exact entries are at most sqrt(binom(N,k)), not binom(N,k).  It
-    is not stable in k for every w: at w = 0 it gives r_N = 1.4e43 at N = 200
-    and 5.8e102 at N = 400 for the exact 1, and entries overflow past
-    N ~ 1050.
-    """
-    if N < 1:
-        raise DomainError(f"dimension must be >= 1, got {N}")
-    a = N - 2.0 * np.arange(N + 1)
-    R = np.empty((N + 1, N + 1))  # R[k, w]
-    R[0] = 1.0
-    R[1] = a / sqrt(N)
-    for k in range(1, N):
-        R[k + 1] = (a * R[k] - sqrt(k * (N - k + 1.0)) * R[k - 1]) / sqrt((k + 1.0) * (N - k))
-    out = np.ascontiguousarray(R.T)
-    out.flags.writeable = False
-    return out
 
 
 def hermite_all(max_degree: int, t: float) -> np.ndarray:

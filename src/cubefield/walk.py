@@ -20,8 +20,8 @@ number of times.  MFlip and MarkovEntries still step the walk T times.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import comb, factorial, floor, inf, isfinite, log
+from functools import cached_property, lru_cache
+from math import comb, factorial, floor, log
 
 import numpy as np
 
@@ -83,6 +83,12 @@ class GreenSpec:
     def by_distance(self) -> np.ndarray:
         """(1-alpha) G(x, y) at Hamming distance d = ||x XOR y|| = 0..N."""
         return _distance_kernel(self.N, self.weights)
+
+    @cached_property
+    def level_resolvent(self) -> np.ndarray:
+        """R = (1-alpha)(I - alpha P_level)^-1, the killed law of the Hamming
+        level: R[u, v] = P(||X_T|| = v | ||X_0|| = u)."""
+        return _level_columns(self, np.arange(self.N + 1))
 
     def subset_table(self) -> np.ndarray:
         """(1 + c (1 - rho_A))^-1 for every subset bitmask A (2^N vector)."""
@@ -200,23 +206,63 @@ def green_matrix_oracle(spec: GreenSpec) -> np.ndarray:
 
 
 def green_hamming(spec: GreenSpec, u: int, v: int) -> float:
-    """Killed-endpoint law of the Hamming level: P(||X_T|| = v | ||X_0|| = u).
+    """P(||X_T|| = v | ||X_0|| = u), the killed law of the Hamming level (spec.level_resolvent)."""
+    if not (0 <= u <= spec.N and 0 <= v <= spec.N):
+        raise DomainError(f"levels must lie in [0, {spec.N}], got u={u}, v={v}")
+    return float(spec.level_resolvent[u, v])
 
-    binom(N,v) 2^-N [1 + sum_k (1+c(1-rho_k))^-1 binom(N,k) Q_k(v) Q_k(u)].
+
+@lru_cache(maxsize=4)
+def _level_chain(model, N: int) -> tuple[np.ndarray, int]:
+    """P_level, the one-step law of the Hamming level of an exchangeable walk
+    (read-only), and its bandwidth, the largest j with s_j > 0.
+
+    A step flips j uniform sites with probability s_j = binom(N,j) pmf_by_size(N)[j];
+    from level u, i of them hit ones with hypergeometric probability H_j[u, i], and
+    the level moves to u + j - 2i.  H_j grows one flip at a time as a mix of two
+    nonnegative terms: the next site is one of the ones left, or one of the zeros.
+    """
+    pmf = model.pmf_by_size(N)
+    width = int(np.flatnonzero(pmf).max(initial=0))
+    u, P, H = np.arange(N + 1)[:, None], np.zeros((N + 1, N + 1)), np.ones((N + 1, 1))
+    for j in range(width + 1):
+        if j:
+            i = np.arange(j)
+            H = (np.pad(H * (N - u - j + 1 + i), ((0, 0), (0, 1)))
+                 + np.pad(H * (u - i), ((0, 0), (1, 0)))) / (N - j + 1)
+        if pmf[j] > 0.0:  # H is 0 where u + j - 2i leaves 0..N
+            s_j = float(comb(N, j) * Fraction(pmf[j]))
+            np.add.at(P, (u, np.clip(u + j - 2 * np.arange(j + 1), 0, N)), s_j * H)
+    if np.abs(P.sum(axis=1) - 1.0).max() > 1e-9:
+        raise NumericError(f"the increment sizes at N={N} lose mass below the float range")
+    P.flags.writeable = False
+    return P, width
+
+
+def _level_columns(spec: GreenSpec, columns) -> np.ndarray:
+    """The columns of R = (1-alpha)(I - alpha P_level)^-1 at the given levels,
+    by GTH elimination (Grassmann, Taksar and Heyman 1985) within the band.
+
+    Each pivot is its row's killing mass plus its outflow, and every other step
+    adds nonnegative terms, so each entry of R is accurate relative to its own
+    size.  A column takes the same steps whichever columns share the call.
     """
     if not spec.model.is_exchangeable:
         raise DomainError("the Hamming kernel needs an exchangeable model")
-    if not (0 <= u <= spec.N and 0 <= v <= spec.N):
-        raise DomainError(f"levels must lie in [0, {spec.N}], got u={u}, v={v}")
-    Q = krawtchouk_matrix(spec.N)
-    series = float(np.dot(spec.weights * spec.binom_pmf, Q[u] * Q[v]))
-    try:
-        value = comb(spec.N, v) * series
-    except OverflowError:  # binom(N, v) itself is past the float range
-        value = inf
-    if not isfinite(value):
-        raise NumericError(f"the Hamming kernel at N={spec.N}, v={v} is past the float range")
-    return value
+    P, band = _level_chain(spec.model, spec.N)
+    N, m = spec.N, len(columns)
+    # per level: outflows alpha P_uv (the diagonal holds the pivot), killing mass, right-hand sides
+    M = np.hstack([spec.alpha * P, np.zeros((N + 1, 1 + m))])
+    M[:, N + 1] = M[columns, N + 2 + np.arange(m)] = 1.0 - spec.alpha
+    for p in range(N + 1):  # row p is 0 past its band, so the update adds 0 there
+        hi = min(p + band, N) + 1
+        pivot = M[p, p] = M[p, N + 1] + M[p, p + 1:hi].sum()
+        M[p + 1:hi, p + 1:] += np.multiply.outer(M[p + 1:hi, p] / pivot, M[p, p + 1:])
+    X = M[:, N + 2:]
+    for p in range(N, -1, -1):
+        X[p] /= M[p, p]
+        X[max(p - band, 0):p] += np.multiply.outer(M[max(p - band, 0):p, p], X[p])
+    return X
 
 
 def sample_geometric_time(alpha: float, rng: np.random.Generator) -> int:

@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from cubefield.limits import levelset_representation
 from cubefield.polynomials import KrawtchoukBasis
 
 
@@ -27,6 +28,12 @@ def covariance_se(analytic, n):
     """SE matrix for empirical second moments of a centered Gaussian vector."""
     d = np.diag(analytic)
     return np.sqrt((np.outer(d, d) + analytic ** 2) / n)
+
+
+def representation_matrix(spec):
+    """B with levelset_representation(spec, zeta) = B zeta: its columns are the
+    representations of the unit vectors."""
+    return np.column_stack([levelset_representation(spec, e) for e in np.eye(spec.N + 1)])
 
 
 def exact_levelset_cov(spec):

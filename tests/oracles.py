@@ -5,11 +5,14 @@ matrix against every column, the spectral Green function against the
 killed moments, the Beta(a, 1) worked example
 step by step, the field order by order, the time-side Parseval identity,
 the Walsh characters as an explicit sign vector, the Hermite polynomials
-scaled by 1/sqrt(k!) alone, and the Fourier inversion of kappa on a dense
-trapezoid rule.
+scaled by 1/sqrt(k!) alone, the Fourier inversion of kappa on a dense
+trapezoid rule, and the killed law of the Hamming level in exact integer
+arithmetic.
 """
 
-from math import exp, log, pi, sqrt
+from fractions import Fraction
+from functools import lru_cache
+from math import comb, exp, log, pi, sqrt
 
 import numpy as np
 from scipy.integrate import quad
@@ -145,3 +148,52 @@ def inversion_check_dense(spec: KappaSpec, zetas, t) -> np.ndarray:
     integral = np.trapezoid(np.cos(phase) * U + np.sin(phase) * V, thetas) / pi
     basis = _basis_at(spec, grid)
     return np.abs(integral - (basis * zetas).sum(axis=1))
+
+
+@lru_cache(maxsize=4)
+def krawtchouk_integers(N: int) -> tuple:
+    """K[k][d] = binom(N,k) Q_k(d), the coefficient of x^k in (1-x)^d (1+x)^(N-d),
+    by the exact integer recurrence (k+1) K_{k+1} = (N-2d) K_k - (N-k+1) K_{k-1}."""
+    cols = []
+    for d in range(N + 1):
+        col = [1, N - 2 * d]
+        for k in range(1, N):
+            col.append(((N - 2 * d) * col[k] - (N - k + 1) * col[k - 1]) // (k + 1))
+        cols.append(col[:N + 1])
+    return tuple(tuple(cols[d][k] for d in range(N + 1)) for k in range(N + 1))
+
+
+def exact_rho(model, N: int) -> list:
+    """rho_k for k = 0..N as exact rationals of the model's float parameters
+    (SingleFlip, MFlip and the point-mass de Finetti laws)."""
+    if isinstance(model, increments.SingleFlip):
+        return [1 - Fraction(2 * k, N) for k in range(N + 1)]
+    if isinstance(model, increments.MFlip):
+        row = krawtchouk_integers(N)[model.m]
+        return [Fraction(row[k], comb(N, model.m)) for k in range(N + 1)]
+    spins = [(1 - 2 * Fraction(a), Fraction(w)) for a, w in zip(model.atoms, model.weights)]
+    return [sum(w * x ** k for x, w in spins) for k in range(N + 1)]
+
+
+def exact_level_resolvent(model, N: int, alpha: float, us, vs) -> list:
+    """P(||X_T|| = v | ||X_0|| = u) for u in us, v in vs, as exact rationals at
+    the float alpha, from the spectral closed form
+
+        2^-N sum_k (1 - alpha) / (1 - alpha rho_k) K_k(u) K_v(k)
+
+    (binom(N,v) Q_k(v) binom(N,k) = K_v(k) by self-duality).  The weights are
+    fixed-point integers with N + 1200 fractional bits: the alternating sum,
+    whose terms are below 4^N, is exact to 2^-1200, far under any entry in
+    the float range."""
+    a, prec = Fraction(alpha), N + 1200
+    weights = []
+    for rho in exact_rho(model, N):
+        w = (1 - a) / (1 - a * rho)
+        weights.append((w.numerator << prec) // w.denominator)
+    K = krawtchouk_integers(N)
+    out = []
+    for u in us:
+        row = [w * K[k][u] for k, w in enumerate(weights)]
+        out.append([Fraction(sum(r * K[v][k] for k, r in enumerate(row)), 1 << (prec + N))
+                    for v in vs])
+    return out

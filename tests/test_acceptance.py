@@ -12,7 +12,7 @@ from math import comb, pi, sqrt
 import numpy as np
 import pytest
 
-from conftest import covariance_se, exact_levelset_cov, mean_and_se
+from conftest import covariance_se, exact_levelset_cov, mean_and_se, representation_matrix
 from oracles import beta_killed_product_sample
 from cubefield import cli
 from cubefield import field as fld
@@ -188,7 +188,7 @@ def test_09_level_sets():
     with criterion(9, "level-set representation and MC covariance"):
         for N in (7, 14, 20):
             spec = walk.GreenSpec(N, inc.SingleFlip(), 0.5)
-            B = lm._representation_matrix(spec)
+            B = representation_matrix(spec)
             closed = exact_levelset_cov(spec)
             gap = float(np.abs(B @ B.T - closed).max())
             assert gap < 1e-10, f"N={N}: representation gap {gap}"

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import assert_within_3se, covariance_se, exact_levelset_cov, mean_and_se
+from conftest import (assert_within_3se, covariance_se, exact_levelset_cov, mean_and_se,
+                      representation_matrix)
 from oracles import hermite_weighted_all, inversion_check_dense, parseval_time_side
 from cubefield import field as fld
 from cubefield import increments as inc
@@ -80,7 +81,7 @@ def test_levelset_cov_single_term_degenerate():
 @pytest.mark.parametrize("N", [4, 12, 20])
 def test_representation_covariance_matches_closed_form(N):
     spec = walk.GreenSpec(N, inc.SingleFlip(), 0.5)
-    B = lm._representation_matrix(spec)
+    B = representation_matrix(spec)
     closed = exact_levelset_cov(spec)
     assert float(np.abs(B @ B.T - closed).max()) < 1e-10
     assert float(np.abs(lm.levelset_cov_matrix(spec) - closed).max()) < 1e-10
@@ -106,7 +107,7 @@ def test_levelset_two_routes_and_mc(rng):
     assert frac >= 0.99, f"only {frac:.3f} within 3 SE"
     # representation route draws have the same second moments
     zdraws = rng.standard_normal((reps, 6))
-    rep = zdraws @ lm._representation_matrix(spec).T
+    rep = zdraws @ representation_matrix(spec).T
     emp2 = rep.T @ rep / reps
     frac2 = np.mean(np.abs(emp2 - closed) <= 3 * se)
     assert frac2 >= 0.99, f"only {frac2:.3f} within 3 SE (representation)"
@@ -599,8 +600,8 @@ def test_scaled_cov_grid_equals_pointwise_values():
 
 
 def test_scaled_cov_past_the_overflowing_edge_rows_matches_exact_value():
-    # at N = 1100 the edge rows of the weighted Krawtchouk table overflow;
-    # the central row stays finite and accurate, and no warning is raised
+    # at N = 1100 binom(N, N/2) is past the float range; the scaled central
+    # entry is finite and accurate, and no warning is raised
     N, u = 1100, 550
     weights = walk.GreenSpec(N, inc.SingleFlip(), 1.0 - 2.0 / N).weights
     # binom(N,k) Q_k(u) is the coefficient of x^k in (1-x)^u (1+x)^(N-u)
@@ -617,15 +618,9 @@ def test_scaled_cov_rejects_grid_points_off_the_levels():
         lm.scaled_levelset_cov(100, 2.0, [0.0, 25.0], [0.0])
 
 
-def test_scaled_cov_sums_one_row_at_a_time():
-    # the same floats as the (n, n, N+1) product it replaces ...
-    for N, n in ((50, 17), (400, 41)):
-        grid = np.linspace(-1.9, 1.9, n)
-        F = lm._level_factor(walk.GreenSpec(N, inc.SingleFlip(), 1.0 - 2.0 / N))
-        u = lm._levels(N, grid)
-        old = (F[u][:, None, :] * F[u][None, :, :]).sum(axis=-1) * (N / 4.0)
-        assert np.array_equal(lm.scaled_levelset_cov(N, 2.0, grid, grid), old)
-    # ... in O(n N) memory: that product alone was 301^2 * 401 floats, 277 MiB
+def test_scaled_cov_memory_is_linear_in_the_grid():
+    # O(n N) memory beyond the level chain: an (n, n, N+1) product of the
+    # level factor was 301^2 * 401 floats, 277 MiB
     grid = np.linspace(-3.0, 3.0, 301)
     tracemalloc.start()
     try:

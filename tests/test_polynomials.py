@@ -8,8 +8,7 @@ from oracles import hermite_weighted_all
 from cubefield.errors import DomainError
 from cubefield.polynomials import (KrawtchoukBasis, binomial_pmf, hermite_all,
                                    hermite_eval, hermite_functions,
-                                   krawtchouk_eval, krawtchouk_row,
-                                   krawtchouk_weighted_matrix)
+                                   krawtchouk_eval, krawtchouk_row)
 from cubefield.walsh import fwht, popcounts
 
 
@@ -132,15 +131,6 @@ def test_float_row_matches_exact_table():
         row = krawtchouk_row(N, w)
         exact = np.array([float(basis.q(k, w)) for k in range(N + 1)])
         assert np.abs(row - exact).max() < 1e-11
-
-
-def test_weighted_row_matches_exact_table():
-    N = 24
-    basis = KrawtchoukBasis(N)
-    for w in (0, 5, 12):
-        r = krawtchouk_weighted_matrix(N)[w]
-        exact = np.array([np.sqrt(comb(N, k)) * float(basis.q(k, w)) for k in range(N + 1)])
-        assert np.abs(r - exact).max() < 1e-9
 
 
 @pytest.mark.parametrize("N", [65, 400, 1000])

@@ -164,8 +164,6 @@ CASES += [
      DomainError),
     ("krawtchouk_row w = N + 1", lambda: polynomials.krawtchouk_row(3, 4), DomainError),
     ("krawtchouk_matrix(0)", lambda: polynomials.krawtchouk_matrix(0), DomainError),
-    ("krawtchouk_weighted_matrix(0)", lambda: polynomials.krawtchouk_weighted_matrix(0),
-     DomainError),
     ("hermite_functions degree -1", lambda: polynomials.hermite_functions(-1, 0.0), DomainError),
     # walk kernels
     ("transition_matrix N = 13", lambda: walk.transition_matrix(IID, 13), ResourceLimitError),
@@ -174,6 +172,10 @@ CASES += [
      lambda: walk.green_matrix_spectral(walk.GreenSpec(13, IID, 0.5)), ResourceLimitError),
     ("t_step_prob t = -1", lambda: walk.t_step_prob(IID, 3, -1, 0, 0), DomainError),
     ("green_hamming v = N + 1", lambda: walk.green_hamming(LEVELS6, 0, 7), DomainError),
+    # every 2^-1100 pmf_by_size entry underflows: the level chain would have no steps
+    ("green_hamming IIDBernoulli(0.5) at N = 1100",
+     lambda: walk.green_hamming(walk.GreenSpec(1100, inc.IIDBernoulli(0.5), 0.5), 0, 0),
+     NumericError),
     ("coupon_collector_prob t = 0", lambda: walk.coupon_collector_prob(0, 3), DomainError),
     ("coupon_collector_prob N = 0", lambda: walk.coupon_collector_prob(1, 0), DomainError),
     # field samplers and checks: noise of the wrong shape, samples of the wrong kind

@@ -1,4 +1,6 @@
 import tracemalloc
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from oracles import green_matrix_full_solve
 from cubefield import field as fld
 from cubefield import increments as inc
 from cubefield import walk, walsh
-from cubefield.errors import DomainError, NumericError, ResourceLimitError
+from cubefield.errors import DomainError, ResourceLimitError
 from cubefield.walsh import popcounts
 
 MODELS = {
@@ -167,11 +169,19 @@ def test_green_hamming_bernoulli_half_origin():
     assert walk.green_hamming(spec, 0, 0) == pytest.approx(0.6 + 0.4 / 64, abs=1e-13)
 
 
-def test_green_hamming_past_float_range_raises_numeric_error():
-    # binom(1100, 550) ~ 1e329 does not fit in a float
-    spec = walk.GreenSpec(1100, inc.SingleFlip(), 0.9)
-    with pytest.raises(NumericError):
-        walk.green_hamming(spec, 0, 550)
+def test_green_hamming_past_the_float_range_of_binom_matches_exact_value():
+    # binom(1100, 550) ~ 1e329 does not fit in a float, but the value is a
+    # probability: binom(N,v) 2^-N sum_k w_k K_k(v) with K_k(v) = binom(N,k)
+    # Q_k(v) the coefficient of x^k in (1-x)^v (1+x)^(N-v), and the exact
+    # weights w_k = 1 / (1 + 9 (2k/N)) = N / (N + 18k) at alpha = 0.9
+    N, v = 1100, 550
+    K = np.convolve(np.array([(-1) ** j * comb(v, j) for j in range(v + 1)], dtype=object),
+                    np.array([comb(N - v, j) for j in range(N - v + 1)], dtype=object))
+    total = sum(Fraction(N, N + 18 * k) * int(K[k]) for k in range(N + 1))
+    exact = float(comb(N, v) * total / 2 ** N)
+    assert exact == 3.3465548043301078e-53
+    got = walk.green_hamming(walk.GreenSpec(N, inc.SingleFlip(), 0.9), 0, v)
+    assert abs(got - exact) <= 1e-12 * exact
 
 
 def test_green_hamming_rejects_markov():
