@@ -272,30 +272,45 @@ class _PointMasses(_DeFinetti):
         """(sign, log|Y|) per row for Y_i the product of `counts[i]` fresh spins.
 
         No spin is drawn: the spins of row i fall on the atoms x_a as n ~
-        Multinomial(counts[i], weights), so log|Y| = sum_a n_a log|x_a| and
-        the sign is the parity of the integer counts on negative atoms.  With
-        one atom log|Y| is the single rounded product counts[i] * log|x|,
-        within half an ulp of it; with A atoms, A rounded products summed.
-        Rows go to the generator in blocks of 2^18 count cells, so time and
-        memory are O(rows) at any alpha.  A row holding a zero spin gets
-        sign 0 and log-magnitude -inf.  Signs are int8, as in the spin route.
+        Multinomial(counts[i], weights), and `_signed_logs` forms the pair
+        from n.  With one atom n is counts[i] itself, so nothing is drawn
+        (numpy's multinomial draws nothing for its last category, so the
+        stream is the same) and log|Y| is the single rounded product
+        counts[i] * log|x|, within half an ulp of it; with A atoms, A rounded
+        products summed.  Rows go to the generator in blocks of 2^18 count
+        cells, so time and memory are O(rows) at any alpha.
         """
-        signs, logs = np.empty(counts.shape, dtype=np.int8), np.zeros(counts.shape)
-        points = self._points
-        negative, zero = points < 0.0, points == 0.0
-        log_abs = np.log(np.abs(np.where(zero, 1.0, points)))  # zero atoms are flagged apart
-        rows = max(1, _SPIN_CHUNK // points.size)
+        signs, logs = np.empty(counts.shape, dtype=np.int8), np.empty(counts.shape)
+        rows = max(1, _SPIN_CHUNK // self._points.size)
         for lo in range(0, counts.size, rows):
             hi = min(lo + rows, counts.size)
-            n = rng.multinomial(counts[lo:hi], self.weights)
-            np.matmul(n, log_abs, out=logs[lo:hi])
-            odd = n[:, negative].sum(axis=1) & 1
-            signs[lo:hi] = 1 - 2 * odd
-            if zero.any():
-                hit = n[:, zero].any(axis=1)
-                signs[lo:hi][hit] = 0
-                logs[lo:hi][hit] = -np.inf
+            if self._points.size == 1:
+                n = counts[lo:hi, None]
+            else:
+                n = rng.multinomial(counts[lo:hi], self.weights)
+            self._signed_logs(n, signs[lo:hi], logs[lo:hi])
         return signs, logs
+
+    def _signed_logs(self, n, signs, logs):
+        """Fill signs and logs with (sign, log|Y|) for Y = prod_a x_a^(n_a), one row
+        of atom counts n each: log|Y| = n @ log|x_a| as one matmul, the sign the
+        parity of the integer counts on negative atoms, and sign 0 with
+        log-magnitude -inf where a zero spin is hit.  Signs are int8, as in the
+        spin route."""
+        points = self._points
+        np.matmul(n, self._log_abs, out=logs)
+        signs[...] = 1 - 2 * (n[:, points < 0.0].sum(axis=1) & 1)
+        zero = points == 0.0
+        if zero.any():
+            hit = n[:, zero].any(axis=1)
+            signs[hit] = 0
+            logs[hit] = -np.inf
+
+    @cached_property
+    def _log_abs(self):
+        """log|x_a| per atom, 0.0 at a zero atom (its rows are flagged apart)."""
+        points = self._points
+        return np.log(np.abs(np.where(points == 0.0, 1.0, points)))
 
 
 @dataclass(frozen=True)

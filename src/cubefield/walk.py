@@ -221,18 +221,28 @@ def _level_chain(model, N: int) -> tuple[np.ndarray, int]:
     from level u, i of them hit ones with hypergeometric probability H_j[u, i], and
     the level moves to u + j - 2i.  H_j grows one flip at a time as a mix of two
     nonnegative terms: the next site is one of the ones left, or one of the zeros.
+    Each s_j H_j is added into a band array, one row per level step j - 2i,
+    through one step-(-2) slice; the dense P is gathered from it once.
     """
     pmf = model.pmf_by_size(N)
     width = int(np.flatnonzero(pmf).max(initial=0))
-    u, P, H = np.arange(N + 1)[:, None], np.zeros((N + 1, N + 1)), np.ones((N + 1, 1))
+    u, H = np.arange(N + 1.0), np.ones((1, N + 1))  # H[i, u], one row per hit count
+    band = np.zeros((2 * width + 1, N + 1))  # band[width + d, u] = P[u, u + d]
     for j in range(width + 1):
         if j:
-            i = np.arange(j)
-            H = (np.pad(H * (N - u - j + 1 + i), ((0, 0), (0, 1)))
-                 + np.pad(H * (u - i), ((0, 0), (1, 0)))) / (N - j + 1)
+            i, grown = np.arange(j, dtype=float)[:, None], np.empty((j + 1, N + 1))
+            np.multiply(H, (N - j + 1 - u) + i, out=grown[:j])
+            grown[j] = 0.0
+            grown[1:] += H * (u - i)
+            H = np.divide(grown, N - j + 1, out=grown)
         if pmf[j] > 0.0:  # H is 0 where u + j - 2i leaves 0..N
             s_j = float(comb(N, j) * Fraction(pmf[j]))
-            np.add.at(P, (u, np.clip(u + j - 2 * np.arange(j + 1), 0, N)), s_j * H)
+            band[width + j::-2][:j + 1] += s_j * H  # the offsets j, j - 2, .., -j
+    rows = np.broadcast_to(np.arange(N + 1), band.shape)
+    cols = rows + np.arange(-width, width + 1)[:, None]
+    inside = (cols >= 0) & (cols <= N)
+    P = np.zeros((N + 1, N + 1))
+    P[rows[inside], cols[inside]] = band[inside]
     if np.abs(P.sum(axis=1) - 1.0).max() > 1e-9:
         raise NumericError(f"the increment sizes at N={N} lose mass below the float range")
     P.flags.writeable = False

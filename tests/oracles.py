@@ -6,8 +6,8 @@ killed moments, the Beta(a, 1) worked example
 step by step, the field order by order, the time-side Parseval identity,
 the Walsh characters as an explicit sign vector, the Hermite polynomials
 scaled by 1/sqrt(k!) alone, the Fourier inversion of kappa on a dense
-trapezoid rule, and the killed law of the Hamming level in exact integer
-arithmetic.
+trapezoid rule, the killed law of the Hamming level in exact integer
+arithmetic, and its one-step chain scattered entry by entry.
 """
 
 from fractions import Fraction
@@ -197,3 +197,21 @@ def exact_level_resolvent(model, N: int, alpha: float, us, vs) -> list:
         out.append([Fraction(sum(r * K[v][k] for k, r in enumerate(row)), 1 << (prec + N))
                     for v in vs])
     return out
+
+
+def level_chain_add_at(model, N: int) -> np.ndarray:
+    """P_level scattered straight into the dense matrix with np.add.at: each flip
+    count j adds s_j H_j[u, i] at (u, u + j - 2i), the hypergeometric rows grown
+    one flip at a time as in walk._level_chain."""
+    pmf = model.pmf_by_size(N)
+    width = int(np.flatnonzero(pmf).max(initial=0))
+    u, P, H = np.arange(N + 1)[:, None], np.zeros((N + 1, N + 1)), np.ones((N + 1, 1))
+    for j in range(width + 1):
+        if j:
+            i = np.arange(j)
+            H = (np.pad(H * (N - u - j + 1 + i), ((0, 0), (0, 1)))
+                 + np.pad(H * (u - i), ((0, 0), (1, 0)))) / (N - j + 1)
+        if pmf[j] > 0.0:
+            s_j = float(comb(N, j) * Fraction(pmf[j]))
+            np.add.at(P, (u, np.clip(u + j - 2 * np.arange(j + 1), 0, N)), s_j * H)
+    return P

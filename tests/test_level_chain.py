@@ -7,7 +7,7 @@ from math import comb, fsum, sqrt
 import numpy as np
 import pytest
 
-from oracles import exact_level_resolvent
+from oracles import exact_level_resolvent, level_chain_add_at
 from cubefield import increments as inc
 from cubefield import limits as lm
 from cubefield import walk
@@ -55,3 +55,11 @@ def test_scaled_levelset_cov_matches_exact_values(N, killing):
     for i, (u, row) in enumerate(zip(levels, exact)):
         for j, want in enumerate(row):
             assert close(cov[i, j], Fraction(N * comb(N, u), 4 << N) * want), (i, j)
+
+
+@pytest.mark.parametrize("model, N", [(inc.IIDBernoulli(0.3), 100), (inc.IIDBernoulli(0.3), 400),
+                                      (inc.MFlip(2), 400), (inc.SingleFlip(), 400)])
+def test_level_chain_band_is_the_scattered_chain(model, N):
+    # the band array adds each s_j H_j in the same order np.add.at did
+    P, _ = walk._level_chain(model, N)
+    assert np.array_equal(P, level_chain_add_at(model, N))

@@ -1,6 +1,8 @@
 import time
 import tracemalloc
-from math import exp, fsum, log, sqrt
+import warnings
+from fractions import Fraction
+from math import exp, factorial, fsum, log, sqrt, ulp
 
 import numpy as np
 import pytest
@@ -116,16 +118,22 @@ def test_sample_Y_phi_half_moments(rng):
 @pytest.mark.parametrize("model", [DISCRETE, inc.DeFinettiBeta(1.5, 2.5)])
 @pytest.mark.parametrize("phi", [1.0, 0.5])
 def test_sample_Y_is_the_hand_drawn_route(model, phi):
-    # phi = 1: T by inversion; otherwise a Gamma(phi), then a Poisson count;
-    # then the spin law's products, all on one generator
+    # point masses at phi = 1: one uniform per draw, looked up in the (T, atom
+    # counts) table's CDF; otherwise T by inversion (phi = 1) or a Gamma(phi),
+    # then a Poisson count, then the spin law's products; all on one generator
     law = pp.YLaw(model, 0.7, phi)
     draws = pp.sample_Y(law, np.random.default_rng(12), size=2000)
     ref_rng = np.random.default_rng(12)
-    if phi == 1.0:
-        counts = np.floor(np.log(1.0 - ref_rng.random(2000)) / log(law.alpha))
+    if phi == 1.0 and model is DISCRETE:
+        cdf, table_signs, table_logs = pp._count_table(model, law.alpha)
+        entry = np.searchsorted(cdf, ref_rng.random(2000), side="right")
+        signs, logs = table_signs[entry], table_logs[entry]
     else:
-        counts = ref_rng.poisson(ref_rng.gamma(phi, size=2000) * law.c)
-    signs, logs = model.log_products(counts.astype(np.int64), ref_rng)
+        if phi == 1.0:
+            counts = np.floor(np.log(1.0 - ref_rng.random(2000)) / log(law.alpha))
+        else:
+            counts = ref_rng.poisson(ref_rng.gamma(phi, size=2000) * law.c)
+        signs, logs = model.log_products(counts.astype(np.int64), ref_rng)
     assert np.array_equal(draws, signs * np.exp(logs))
 
 
@@ -370,7 +378,8 @@ def test_zero_atom_rows_vanish(rng):
 
 def test_atom_count_blocks_do_not_change_the_draws(monkeypatch):
     # the multinomial draws row by row, so any block size gives the same stream
-    law = pp.YLaw.from_model(DISCRETE, 0.9)
+    # (alpha = 0.999 is past the count table's cap, so the multinomial runs)
+    law = pp.YLaw.from_model(DISCRETE, 0.999)
     whole = pp.sample_Y_signed_log(law, np.random.default_rng(3), 5000)
     monkeypatch.setattr(inc, "_SPIN_CHUNK", 7)
     blocked = pp.sample_Y_signed_log(law, np.random.default_rng(3), 5000)
@@ -405,12 +414,14 @@ def test_point_mass_peak_does_not_grow_with_alpha():
     assert traced_peak(lambda: pp.sample_Y(law, rng, size=100_000)) < 16 << 20
 
 
-def test_sample_Y_peak_is_its_counts_signs_and_logs():
-    # int64 counts and float64 logs of 10^6 (8 MiB each), int8 signs (1 MiB)
-    # and one block of atom counts: 21.2 MiB
+def test_sample_Y_peak_is_its_signs_and_logs():
+    # float64 logs of 10^6 (8 MiB), int8 signs (1 MiB), one block of 2^18
+    # uniforms and entry indices (4 MiB) and the 8256-entry count table built
+    # in the call: 14.7 MiB measured, under 16 MiB with 1.3 MiB to spare
     law = pp.YLaw.from_model(DISCRETE, 0.75)
     rng = np.random.default_rng(1)
-    assert traced_peak(lambda: pp.sample_Y(law, rng, size=1_000_000)) < 22 << 20
+    pp._count_table.cache_clear()
+    assert traced_peak(lambda: pp.sample_Y(law, rng, size=1_000_000)) < 16 << 20
 
 
 @pytest.mark.parametrize("model", [DISCRETE, inc.DeFinettiBeta(1.5, 2.5)])
@@ -425,6 +436,141 @@ def test_continuous_peak_is_bounded_by_the_chunk():
     law = pp.YLaw.from_model(SYMMETRIC, 0.99)
     rng = np.random.default_rng(1)
     assert traced_peak(lambda: pp.sample_Y(law, rng, size=20_000)) < 24 << 20
+
+
+# ---------------------------------------------------------------------------
+# the (T, atom counts) table of point masses at phi = 1
+
+
+def compositions(t, parts):
+    """Every n with `parts` nonnegative entries summing to t, in lexicographic order."""
+    if parts == 1:
+        yield (t,)
+        return
+    for first in range(t + 1):
+        for rest in compositions(t - first, parts - 1):
+            yield (first,) + rest
+
+
+def count_vectors(model, alpha):
+    """Every atom count vector n with |n| = t <= t_max, in order of t, then of n."""
+    return [n for t in range(pp._inversion_t_max(alpha) + 1)
+            for n in compositions(t, len(model.weights))]
+
+
+def exact_probabilities(model, alpha):
+    """P(T = t, n) = (1 - alpha) alpha^t multinomial(t; n) prod_a w_a^(n_a) for
+    each count vector, exactly, at the float parameters."""
+    a, w = Fraction(alpha), [Fraction(x) for x in model.weights]
+    probs = []
+    for n in count_vectors(model, alpha):
+        p = (1 - a) * a ** sum(n) * factorial(sum(n))
+        for n_a, w_a in zip(n, w):
+            p *= w_a ** n_a / factorial(n_a)
+        probs.append(p)
+    return probs
+
+
+THREE_ATOMS = inc.DeFinettiDiscrete((0.1, 0.6, 0.95), (0.5, 0.3, 0.2))  # spins 0.8, -0.2, -0.9
+
+
+@pytest.mark.parametrize("model, alpha, entries", [(DISCRETE, 0.75, 8256),
+                                                   (THREE_ATOMS, 0.3, 5456)])
+def test_count_table_is_the_exact_law(model, alpha, entries):
+    # each CDF entry within an ulp of the exact prefix sum, the last one 1.0; each
+    # entry's sign the parity of its negative-atom counts, its log the matmul of
+    # log_products
+    cdf, signs, logs = pp._count_table(model, alpha)
+    vectors, probs = count_vectors(model, alpha), exact_probabilities(model, alpha)
+    assert cdf.size == len(vectors) == entries and cdf[-1] == 1.0
+    total = Fraction(0)
+    for i, p in enumerate(probs):
+        total += p
+        assert abs(Fraction(float(cdf[i])) - total) <= ulp(float(total)), i
+    n = np.array(vectors)
+    negative = np.array([x < 0 for x, _ in model._spins])
+    assert np.array_equal(signs, 1 - 2 * (n[:, negative].sum(axis=1) % 2))
+    assert np.array_equal(logs, np.matmul(n, np.log(np.abs(model._points))))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.75, 0.9, 0.999])
+def test_count_table_spans_every_T_the_inversion_gives(alpha):
+    # the inversion's T at 1 - u = 2^-53, the smallest value 1 - u takes
+    u = np.array([0.0, 0.5, 1.0 - 2.0 ** -53])
+    steps = np.floor(np.log(1.0 - u) / log(alpha))
+    assert pp._inversion_t_max(alpha) == steps.max() == steps[-1]
+    assert pp._inversion_t_max(0.75) == 127
+
+
+def test_count_table_draws_chi_square():
+    # 10^6 draws grouped by entry, cells under 5 expected draws pooled, against
+    # the exact probabilities (the last entry carries the tail past t_max)
+    cdf, table_signs, table_logs = pp._count_table(DISCRETE, 0.75)
+    probs = np.array([float(p) for p in exact_probabilities(DISCRETE, 0.75)])
+    probs[-1] += 1.0 - probs.sum()
+    n = 1_000_000
+    signs, logs = pp.sample_Y_signed_log(pp.YLaw(DISCRETE, 0.75), np.random.default_rng(5), n)
+    # (sign, log) tells the entries apart here: their logs are all distinct
+    order = np.argsort(table_logs)
+    assert np.all(np.diff(table_logs[order]) > 0)
+    entry = order[np.searchsorted(table_logs[order], logs)]
+    assert np.array_equal(table_logs[entry], logs) and np.array_equal(table_signs[entry], signs)
+    counts = np.bincount(entry, minlength=cdf.size)
+    expected = n * probs
+    small = expected < 5
+    observed = np.append(counts[~small], counts[small].sum())
+    expected = np.append(expected[~small], expected[small].sum())
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2.sf(stat, df=observed.size - 1) > 1e-6, (stat, observed.size)
+
+
+def test_count_table_blocks_do_not_change_the_draws(monkeypatch):
+    # one uniform per draw in sequence, so any block size gives the same stream
+    law = pp.YLaw(DISCRETE, 0.75)
+    whole = pp.sample_Y_signed_log(law, np.random.default_rng(3), 5000)
+    monkeypatch.setattr(pp, "_DRAW_BLOCK", 7)
+    blocked = pp.sample_Y_signed_log(law, np.random.default_rng(3), 5000)
+    assert np.array_equal(whole[0], blocked[0]) and np.array_equal(whole[1], blocked[1])
+
+
+def test_count_table_zero_spin_atom_is_sign_zero_without_warnings():
+    # the table is built and drawn under -W error: no log(0) is taken
+    model = inc.DeFinettiDiscrete((0.5, 0.9), (0.3, 0.7))
+    pp._count_table.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        signs, logs = pp.sample_Y_signed_log(pp.YLaw(model, 0.8), np.random.default_rng(4), 10_000)
+        cdf, table_signs, table_logs = pp._count_table(model, 0.8)
+    hit = np.array([n[0] > 0 for n in count_vectors(model, 0.8)])
+    assert np.array_equal(table_signs == 0, hit) and np.array_equal(np.isneginf(table_logs), hit)
+    assert np.array_equal(signs == 0, np.isneginf(logs)) and 0 < np.mean(signs == 0) < 1
+
+
+SIXTY_THREE = inc.DeFinettiDiscrete(tuple(np.linspace(0.01, 0.99, 63)), (1 / 63,) * 63)
+
+
+@pytest.mark.parametrize("model, alpha", [(DISCRETE, 0.999), (inc.IIDBernoulli(0.3), 0.75),
+                                          (inc.IIDBernoulli(0.7), 0.999), (SIXTY_THREE, 1e-10)])
+def test_laws_off_the_table_keep_the_multinomial_stream(model, alpha):
+    # past the cap, with one atom, and with 63 atoms at t_max = 1 (64 entries,
+    # but count vectors read in base t_max + 1 reach 2^63): T by inversion, then one
+    # multinomial draw per row in blocks of 2^18 count cells, replayed by hand;
+    # with one atom the multinomial draws nothing, so the stream stays in step
+    assert pp._count_table(model, alpha) is None
+    size = 300_000
+    rng = np.random.default_rng(8)
+    signs, logs = pp.sample_Y_signed_log(pp.YLaw(model, alpha), rng, size)
+    ref = np.random.default_rng(8)
+    steps = np.floor(np.log(1.0 - ref.random(size)) / log(alpha)).astype(np.int64)
+    points = model._points
+    rows = (1 << 18) // points.size
+    n = np.concatenate([ref.multinomial(steps[lo:lo + rows], model.weights)
+                        for lo in range(0, size, rows)])
+    want_logs = np.concatenate([np.matmul(n[lo:lo + rows], np.log(np.abs(points)))
+                                for lo in range(0, size, rows)])
+    assert np.array_equal(logs, want_logs)
+    assert np.array_equal(signs, 1 - 2 * (n[:, points < 0].sum(axis=1) & 1))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
